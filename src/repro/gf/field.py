@@ -55,7 +55,7 @@ class GField:
 
     __slots__ = (
         "f", "size", "order", "generator",
-        "log_table", "antilog_table", "_antilog_double",
+        "log_table", "antilog_table", "_antilog_double", "_log_sentinel",
         "log0_sentinel",
     )
 
@@ -95,8 +95,16 @@ class GField:
         log[0] = -1  # scalar code never reads this without a zero check
         self.log_table = log
         self.antilog_table = antilog
-        # Two consecutive copies: indices up to 2*(order-1) need no modulo.
-        self._antilog_double = np.concatenate([antilog, antilog])
+        # Zero-sentinel pair for the vector kernels: log(0) reads as
+        # 2*order, and the antilog table is two consecutive copies (sums
+        # of two logs up to 2*(order-1) need no modulo) followed by
+        # order + 1 zeros, so a zero symbol plus any ladder exponent
+        # gathers a zero term with no mask.
+        sentinel = log.copy()
+        sentinel[0] = 2 * order
+        self._log_sentinel = sentinel
+        self._antilog_double = np.concatenate(
+            [antilog, antilog, np.zeros(order + 1, dtype=antilog.dtype)])
 
     # ------------------------------------------------------------------
     # Scalar arithmetic

@@ -154,11 +154,54 @@ def ladder_exponents(field: GField, beta: int, length: int) -> np.ndarray:
     return ladder[:length]
 
 
+#: Stacked ``(n, capacity)`` ladders, one per (field, generator, betas).
+_STACKS: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+
+def ladder_stack(field: GField, betas: tuple[int, ...], length: int) -> np.ndarray:
+    """The ladders of every base coordinate as one read-only ``(n, length)`` view.
+
+    Row ``j`` is :func:`ladder_exponents` for ``betas[j]``.  The stack
+    is kept once per (field, generator, betas) in a store bounded like
+    the per-beta one; its capacity grows geometrically and stops at the
+    Proposition-1 page bound ``order - 1``.  A hit is one dict probe and
+    one slice -- no lock.  Longer (non-strict) pages get a stack built
+    for the call and not kept.
+    """
+    stack = _STACKS.get((field.f, field.generator, betas))
+    if stack is None or stack.shape[1] < length:
+        stack = _grow_stack(field, betas, length)
+    return stack[:, :length]
+
+
+def _grow_stack(field: GField, betas: tuple[int, ...], length: int) -> np.ndarray:
+    """Build (and, within the page bound, keep) a stack covering ``length``."""
+    bound = field.order - 1
+    capacity = min(_ladder_capacity(length), bound) if length <= bound \
+        else length
+    stack = np.stack([ladder_exponents(field, beta, capacity)
+                      for beta in betas])
+    stack.flags.writeable = False
+    if capacity > bound:
+        return stack
+    key = (field.f, field.generator, betas)
+    with _LADDER_LOCK:
+        kept = _STACKS.get(key)
+        if kept is not None and kept.shape[1] >= capacity:
+            return kept
+        _STACKS[key] = stack
+        _STACKS.move_to_end(key)
+        while len(_STACKS) > LADDER_CACHE_MAX:
+            _STACKS.popitem(last=False)
+    return stack
+
+
 def ladder_cache_clear() -> None:
     """Drop every cached ladder (test isolation; never needed in prod)."""
     global ladder_hits, ladder_misses
     with _LADDER_LOCK:
         _LADDERS.clear()
+        _STACKS.clear()
         ladder_hits = 0
         ladder_misses = 0
 
@@ -181,40 +224,24 @@ def component_signature(field: GField, symbols: np.ndarray, beta: int) -> int:
     ``returnValue ^= antilog[i + log(page[i])]`` generalized to an
     arbitrary base ``beta`` (the loop's base is alpha, log alpha = 1).
     """
-    if beta == 0:
-        raise GaloisFieldError("signature base element must be non-zero")
-    if symbols.size == 0:
-        return 0
-    nonzero = symbols != 0
-    if not nonzero.any():
-        return 0
-    positions = np.nonzero(nonzero)[0]
-    logs = field.log_table[symbols[positions]]
-    ladder = ladder_exponents(field, beta, symbols.size)
-    terms = field._antilog_double[ladder[positions] + logs]
-    return int(np.bitwise_xor.reduce(terms))
+    return int(np.bitwise_xor.reduce(term_array(field, symbols, beta)))
 
 
 def signature_vector(field: GField, symbols: np.ndarray, betas: tuple[int, ...]) -> tuple[int, ...]:
     """Compute every component signature of a page for the base ``betas``.
 
-    One log-gather for the page, then per base coordinate one cached
-    ladder lookup plus one doubled-antilog gather -- no per-call power
-    recomputation and no modulo in the inner expression.
+    The single-body kernel, one numpy pass each: a log gather through
+    the zero-sentinel table, a 2-D add against the stacked ``(n, L)``
+    ladder of :func:`ladder_stack`, a gather from the zero-extended
+    doubled antilog table, and an XOR reduction along each row.  Zero
+    symbols gather zero terms, so there is no mask, no ``np.where`` and
+    no per-call ladder or power work.
     """
     if symbols.size == 0:
         return tuple(0 for _ in betas)
-    positions = np.nonzero(symbols != 0)[0]
-    if positions.size == 0:
-        return tuple(0 for _ in betas)
-    logs = field.log_table[symbols[positions]]
-    antilog_double = field._antilog_double
-    components = []
-    for beta in betas:
-        ladder = ladder_exponents(field, beta, symbols.size)
-        terms = antilog_double[ladder[positions] + logs]
-        components.append(int(np.bitwise_xor.reduce(terms)))
-    return tuple(components)
+    terms = field._antilog_double[
+        field._log_sentinel[symbols] + ladder_stack(field, betas, symbols.size)]
+    return tuple(np.bitwise_xor.reduce(terms, axis=1).tolist())
 
 
 def term_array(field: GField, symbols: np.ndarray, beta: int) -> np.ndarray:
@@ -225,14 +252,11 @@ def term_array(field: GField, symbols: np.ndarray, beta: int) -> np.ndarray:
     """
     if beta == 0:
         raise GaloisFieldError("signature base element must be non-zero")
-    terms = np.zeros(symbols.size, dtype=np.int64)
-    positions = np.nonzero(symbols != 0)[0]
-    if positions.size == 0:
-        return terms
-    logs = field.log_table[symbols[positions]]
+    if symbols.size == 0:
+        return np.zeros(0, dtype=np.int64)
     ladder = ladder_exponents(field, beta, symbols.size)
-    terms[positions] = field._antilog_double[ladder[positions] + logs]
-    return terms
+    terms = field._antilog_double[field._log_sentinel[symbols] + ladder]
+    return terms.astype(np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -335,20 +359,18 @@ def batch_signature_matrix(field: GField, matrix: np.ndarray,
             if beta == 0:
                 raise GaloisFieldError("signature base element must be non-zero")
         return out
-    mask = matrix != 0
-    # log_table[0] is the -1 sentinel; masked entries gather a garbage
-    # term (negative index wraps) that the where() below discards.
-    logs = field.log_table[matrix]
+    # Zero symbols (padding included) read the 2*order log sentinel and
+    # gather from the zero tail of the antilog table: no mask needed.
+    # The term matrix is reduced inline so no (N, L) temporary outlives
+    # its own coordinate.
+    logs = field._log_sentinel[matrix]
     antilog_double = field._antilog_double
-    zero = np.zeros((), dtype=antilog_double.dtype)
     for j, beta in enumerate(betas):
         if ladders is not None:
             ladder = ladders[j][:width]
         else:
             ladder = ladder_exponents(field, beta, width)
-        terms = antilog_double[logs + ladder[None, :]]
-        terms = np.where(mask, terms, zero)
-        out[:, j] = np.bitwise_xor.reduce(terms, axis=1)
+        out[:, j] = np.bitwise_xor.reduce(antilog_double[logs + ladder], axis=1)
     return out
 
 
@@ -384,10 +406,7 @@ def fold_concat_level(field: GField, components: np.ndarray,
         if beta == 0:
             raise GaloisFieldError("signature base element must be non-zero")
         shift = (field.log(beta) * offsets) % field.order
-        column = grouped[:, :, j]
-        mask = column != 0
-        terms = antilog_double[field.log_table[column] + shift]
-        terms = np.where(mask, terms, np.zeros((), dtype=antilog_double.dtype))
+        terms = antilog_double[field._log_sentinel[grouped[:, :, j]] + shift]
         out[:, j] = np.bitwise_xor.reduce(terms, axis=1)
     return out, parent_lengths
 

@@ -19,7 +19,11 @@ lookups, and β-power recomputation per page.
   rolling paths -- no caller ever recomputes a ladder;
 * an optional ``workers=K`` mode chunks large batches by page ranges
   onto a :class:`concurrent.futures.ThreadPoolExecutor` for multi-bucket
-  scans.
+  scans;
+* a batch of exactly one body (every wire seal/unseal and single frame
+  encode) skips the packer and takes the fused single-body kernel
+  :func:`repro.gf.vectorized.signature_vector` -- the batch size alone
+  picks the kernel.
 
 Batch signatures are *exact*: byte-identical to ``scheme.sign(page)``
 for every page, every field, plain and twisted schemes alike (property-
@@ -44,6 +48,7 @@ from ..gf.vectorized import (
     narrow_symbol_view,
     pack_flat,
     pack_pages,
+    signature_vector,
 )
 from ..obs import registry as _obs
 from .arena import LEDGER, PageView
@@ -242,9 +247,10 @@ class BatchSigner:
         land exactly once in a symbol-aligned scratch buffer (frame
         encoders sign ``[header, payload]`` without building the body
         twice).  A single symbol-aligned part is signed with no copy at
-        all.
+        all.  One body is one call of the single-body kernel
+        (:func:`~repro.gf.vectorized.signature_vector`), with no packing.
         """
-        return self.sign_concat_many([parts], strict=strict)[0]
+        return self._sign_body(parts, strict)
 
     def sign_concat_many(self, bodies, strict: bool = True) -> list[Signature]:
         """One signature per body, each body a sequence of byte parts.
@@ -252,7 +258,8 @@ class BatchSigner:
         All bodies land in one scratch buffer (the single copy), each
         body starting on a symbol boundary; odd-length GF(2^16) bodies
         get the same trailing zero byte ``scheme.sign`` pads with.  A
-        lone single-part symbol-aligned body skips the scratch entirely.
+        lone body takes the single-body kernel, skipping the scratch
+        entirely when it is one symbol-aligned part.
         """
         scheme = self.scheme
         field = scheme.field
@@ -261,6 +268,8 @@ class BatchSigner:
             bodies = list(bodies)
         if not bodies:
             return []
+        if len(bodies) == 1:
+            return [self._sign_body(bodies[0], strict)]
         sizes = [sum(len(part) for part in parts) for parts in bodies]
         lengths = np.fromiter(
             (-(-size // symbol_bytes) for size in sizes),
@@ -273,11 +282,6 @@ class BatchSigner:
                     f"page of {int(lengths.max())} symbols exceeds the "
                     f"certainty bound {bound} for GF(2^{field.f})"
                 )
-        if len(bodies) == 1 and len(bodies[0]) == 1 \
-                and isinstance(bodies[0][0], RAW_BYTES):
-            flat = narrow_symbol_view(bodies[0][0], field)
-            if flat is not None:
-                return self._sign_flat(flat, lengths)
         total = int(lengths.sum()) * symbol_bytes
         scratch = bytearray(total)
         position = 0
@@ -718,6 +722,48 @@ class BatchSigner:
                 )
             spans = split
         return spans
+
+    def _sign_body(self, parts, strict: bool) -> Signature:
+        """One body (a sequence of byte parts) through the single-body kernel.
+
+        A lone symbol-aligned raw part is viewed in place; anything else
+        lands once in a symbol-aligned scratch, so an odd-length
+        GF(2^16) body gets ``scheme.sign``'s zero pad.  Twisted schemes
+        map the symbols first.  Counters and copy accounting match the
+        batch lane exactly.
+        """
+        scheme = self.scheme
+        field = scheme.field
+        symbol_bytes = field.f // 8
+        flat = None
+        if len(parts) == 1 and isinstance(parts[0], RAW_BYTES):
+            flat = narrow_symbol_view(parts[0], field)
+        if flat is not None:
+            length = flat.size
+        else:
+            size = sum(len(part) for part in parts)
+            length = -(-size // symbol_bytes)
+        if strict and length > scheme.max_page_symbols:
+            raise PageTooLongError(
+                f"page of {length} symbols exceeds the certainty bound "
+                f"{scheme.max_page_symbols} for GF(2^{field.f})"
+            )
+        if flat is None:
+            scratch = bytearray(length * symbol_bytes)
+            position = 0
+            for part in parts:
+                scratch[position:position + len(part)] = part
+                position += len(part)
+            LEDGER.count(size)
+            flat = narrow_symbol_view(scratch, field)
+        mapped = scheme.map_symbols(flat)
+        if mapped is not flat:
+            LEDGER.count(mapped.nbytes)
+        components = signature_vector(field, mapped, scheme.base.betas)
+        scheme._count_signed(length, "batch")
+        self._emit(1)
+        self._emit_backend()
+        return Signature(components, scheme.scheme_id)
 
     def _sign_flat(self, flat: np.ndarray,
                    lengths: np.ndarray) -> list[Signature]:

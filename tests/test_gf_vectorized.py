@@ -111,9 +111,67 @@ class TestSignatureVector:
         vector = V.signature_vector(gf, symbols, betas)
         for beta, component in zip(betas, vector):
             assert component == V.component_signature(gf, symbols, beta)
+            assert component == reference_component(gf, symbols, beta)
 
     def test_empty(self, gf):
         assert V.signature_vector(gf, np.zeros(0, dtype=np.int64), (2, 3)) == (0, 0)
+
+    @pytest.mark.parametrize("f", [8, 16])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_with_zero_runs(self, f, data):
+        field = GF(f)
+        nonzero = st.integers(1, field.size - 1)
+        runs = data.draw(st.lists(
+            st.one_of(st.lists(nonzero, min_size=1, max_size=6),
+                      st.integers(1, 9).map(lambda k: [0] * k)),
+            max_size=8))
+        symbols = np.array([s for run in runs for s in run], dtype=np.int64)
+        betas = (field.alpha, field.pow(field.alpha, 2), field.pow(field.alpha, 5))
+        expected = tuple(reference_component(field, symbols, b) for b in betas)
+        assert V.signature_vector(field, symbols, betas) == expected
+        # Narrow (zero-copy view) dtypes index the same tables.
+        narrow = symbols.astype(np.uint8 if f == 8 else np.uint16)
+        assert V.signature_vector(field, narrow, betas) == expected
+
+    def test_longer_than_page_bound_wraps_and_is_not_kept(self):
+        gf4 = GF(4)
+        symbols = np.arange(1, 41) % gf4.size          # 40 > order - 1 = 14
+        betas = (gf4.alpha, gf4.pow(gf4.alpha, 2))
+        expected = tuple(reference_component(gf4, symbols, b) for b in betas)
+        assert V.signature_vector(gf4, symbols, betas) == expected
+        kept = V._STACKS.get((gf4.f, gf4.generator, betas))
+        assert kept is None or kept.shape[1] <= gf4.order - 1
+
+    def test_zero_base_rejected(self, gf):
+        with pytest.raises(GaloisFieldError):
+            V.signature_vector(gf, np.array([1, 2]), (2, 0))
+
+
+class TestLadderStack:
+    def test_rows_are_the_per_beta_ladders(self):
+        gf16 = GF(16)
+        betas = (2, 4, 7)
+        stack = V.ladder_stack(gf16, betas, 300)
+        assert stack.shape == (3, 300)
+        assert not stack.flags.writeable
+        for row, beta in zip(stack, betas):
+            assert np.array_equal(row, V.ladder_exponents(gf16, beta, 300))
+
+    def test_capacity_grows_geometrically_to_the_page_bound(self):
+        gf8 = GF(8)
+        betas = (3, 5)
+        key = (gf8.f, gf8.generator, betas)
+        V.ladder_cache_clear()
+        V.ladder_stack(gf8, betas, 10)
+        first = V._STACKS[key]
+        assert first.shape[1] == gf8.order - 1       # min capacity, capped
+        for length in (1, 100, gf8.order - 1):
+            V.ladder_stack(gf8, betas, length)
+            assert V._STACKS[key] is first
+        assert len(V._STACKS) == 1
+        V.ladder_cache_clear()
+        assert not V._STACKS
 
 
 class TestTermsAndPrefix:

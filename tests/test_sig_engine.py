@@ -13,10 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import wire
 from repro.errors import PageTooLongError, SignatureError
 from repro.gf import GF
+from repro.gf import vectorized as V
 from repro.obs import MetricsRegistry, use_registry
 from repro.sig import (
+    LEDGER,
     BatchSigner,
     PowerLadderCache,
     SignatureMap,
@@ -30,11 +33,14 @@ from repro.sig.engine import DEFAULT_LADDERS, ladder_cache_info
 from repro.sig.twisted import log_interpretation_scheme
 
 #: id -> scheme factory results, built once: the paper's production
-#: GF(2^16) n=2, the equal-strength GF(2^8) n=4, and a Proposition-6
-#: twisted (log-interpretation) scheme per field.
+#: GF(2^16) n=2, the equal-strength GF(2^8) n=4, the all-primitive
+#: sig' variant, and a Proposition-6 twisted (log-interpretation)
+#: scheme per field.
 SCHEMES = {
     "gf16": make_scheme(f=16, n=2),
     "gf8": make_scheme(f=8, n=4),
+    "gf16-primitive": make_scheme(f=16, n=2, variant="primitive"),
+    "gf8-primitive": make_scheme(f=8, n=3, variant="primitive"),
     "gf16-twisted": log_interpretation_scheme(GF(16), n=2),
     "gf8-twisted": log_interpretation_scheme(GF(8), n=3),
 }
@@ -104,6 +110,100 @@ class TestBatchExactness:
 
     def test_empty_batch(self):
         assert BatchSigner(SCHEMES["gf16"]).sign_many([]) == []
+
+
+# ----------------------------------------------------------------------
+# One body: the fused single-body kernel == the paper's scalar loop
+# ----------------------------------------------------------------------
+
+def zero_symbol_fill(scheme) -> int:
+    """The byte whose symbols sign as zero (after a twisted scheme's map)."""
+    return 0xFF if scheme.scheme_id.variant.startswith("twisted") else 0x00
+
+
+class TestSingleBodyKernel:
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_single_body_equals_scalar(self, name, data):
+        scheme = SCHEMES[name]
+        symbol_bytes = scheme.scheme_id.symbol_bytes
+        zero_run = st.integers(1, 10).map(
+            lambda k: bytes([zero_symbol_fill(scheme)]) * (k * symbol_bytes))
+        chunks = data.draw(st.lists(
+            st.one_of(st.binary(min_size=1, max_size=12), zero_run),
+            max_size=8))
+        body = b"".join(chunks)                  # empty and odd lengths too
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(body)),
+                                         max_size=4)))
+        parts = [body[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(body)])]
+        expected = scheme.sign_scalar(body)
+        signer = BatchSigner(scheme)
+        assert signer.sign_concat(parts) == expected
+        assert signer.sign_concat([body]) == expected
+        assert signer.sign_concat([memoryview(body)]) == expected
+        assert signer.sign_concat_many([parts]) == [expected]
+        assert scheme.sign(body) == expected
+        assert scheme.sign_mapped(scheme.signable_symbols(body)) == expected
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_page_bound_under_strict(self, name):
+        scheme = SCHEMES[name]
+        symbol_bytes = scheme.scheme_id.symbol_bytes
+        bound = scheme.max_page_symbols
+        body = bytearray([zero_symbol_fill(scheme)]) * (bound * symbol_bytes)
+        rng = np.random.default_rng(bound)
+        for at in (*rng.integers(0, len(body), 40), 0, len(body) - 1):
+            body[int(at)] = int(rng.integers(1, 255))
+        body = bytes(body)
+        expected = scheme.sign_scalar(body)
+        signer = BatchSigner(scheme)
+        assert signer.sign_concat([body]) == expected
+        assert signer.sign_concat([body[:1001], body[1001:]]) == expected
+        assert scheme.sign(body) == expected
+        longer = body + bytes(symbol_bytes)
+        with pytest.raises(PageTooLongError):
+            signer.sign_concat([longer])
+        with pytest.raises(PageTooLongError):
+            signer.sign_concat([longer[:3], longer[3:]])
+        with pytest.raises(PageTooLongError):
+            scheme.sign(longer)
+        assert signer.sign_concat([longer], strict=False) == \
+            scheme.sign_scalar(longer, strict=False)
+
+    def test_seal_unseal_counter_and_copy_parity(self):
+        scheme = SCHEMES["gf16"]
+        registry = MetricsRegistry()
+        body = bytes(range(81))                  # odd: 41 padded symbols
+        with use_registry(registry):
+            sealed = wire.seal(scheme, body)
+            assert wire.unseal(scheme, sealed) == body
+        assert registry.snapshot()["sig.sign_calls"] == {
+            "algo=batch,field=gf16,variant=standard": 2
+        }
+        assert registry.total("sig.bytes_signed") == 2 * 82
+        assert registry.total("sig.engine.pages") == 2
+        signer = BatchSigner(scheme)
+        with LEDGER.counting() as ledger:
+            signer.sign_concat([body[:80]])      # aligned raw: in place
+        assert (ledger.bytes_copied, ledger.events) == (0, 0)
+        with LEDGER.counting() as ledger:
+            signer.sign_concat([b"hdr", body[:80], b"t"])
+        assert (ledger.bytes_copied, ledger.events) == (84, 1)
+
+    def test_mixed_length_seals_keep_the_stack_store_bounded(self):
+        scheme = SCHEMES["gf16"]
+        key = (scheme.field.f, scheme.field.generator, scheme.base.betas)
+        wire.seal(scheme, bytes(4096))
+        stack = V._STACKS[key]
+        size = len(V._STACKS)
+        rng = np.random.default_rng(12)
+        for length in rng.integers(0, 4097, 10_000).tolist():
+            wire.seal(scheme, bytes(length))
+        assert len(V._STACKS) == size
+        assert V._STACKS[key] is stack
+        assert stack.shape[1] <= scheme.max_page_symbols
 
 
 # ----------------------------------------------------------------------
