@@ -7,12 +7,11 @@ committed run):
 * ``scalar``  -- :meth:`~repro.sig.scheme.AlgebraicSignatureScheme.sign_scalar`,
   the paper's symbol-at-a-time loop (Section 5.1's pseudo-code).
 * ``vector``  -- ``scheme.sign`` per page: the single-page numpy kernel.
-* ``chunked`` -- :class:`~repro.sig.fast.ChunkedSigner` chunk-and-combine
-  (Proposition 5).
 * ``batch``   -- :class:`~repro.sig.engine.BatchSigner.sign_many`: all
-  pages in 2-D kernel passes through the shared power-ladder cache.
-* ``batch_workers`` -- the same engine with a thread pool splitting the
-  page matrix into per-worker row blocks.
+  pages through the engine's one batch lane of cache-sized 2-D kernel
+  blocks.
+* ``batch_workers`` -- the same engine with a thread pool signing the
+  lane's row blocks.
 * ``map_rescan`` -- ``BatchSigner.sign_map`` over the whole image: the
   full batched signature-map rebuild an update cycle pays without the
   incremental plane.
@@ -133,9 +132,9 @@ import numpy as np
 
 from .errors import ReproError
 from .gf.vectorized import batch_signature_matrix, delta_signature_matrix
-from .sig import (LEDGER, BatchSigner, ChunkedSigner,
-                  IncrementalSignatureMap, JournalEntry, SignatureMap,
-                  SignatureTree, make_scheme, resolve_workers)
+from .sig import (LEDGER, BatchSigner, IncrementalSignatureMap,
+                  JournalEntry, SignatureMap, SignatureTree, make_scheme,
+                  resolve_workers)
 from .sig.engine import get_batch_signer
 from .sig.locate import LOCATED, LocateDesign, LocatorMap, decode
 from .sig.signature import Signature
@@ -144,7 +143,7 @@ from .store import PageStore
 from .sync import Replica, sync_by_locator, sync_by_map, sync_by_tree
 
 #: Document schema tag; bump on any shape change.
-SCHEMA = "repro.bench/batch-engine/v8"
+SCHEMA = "repro.bench/batch-engine/v9"
 
 PAGE_BYTES = 64 * 1024
 SEED = 20040301          # ICDE 2004 -- the paper's venue
@@ -308,8 +307,6 @@ def _bench_field(f: int, n: int, pages: list[bytes], scalar_pages: int,
     scheme = make_scheme(f=f, n=n)
     reference = [scheme.sign(page, strict=False) for page in pages]
 
-    chunked = ChunkedSigner(scheme,
-                            chunk_symbols=min(4096, scheme.max_page_symbols))
     single = BatchSigner(scheme)
     pooled = BatchSigner(scheme, workers=workers)
 
@@ -318,7 +315,6 @@ def _bench_field(f: int, n: int, pages: list[bytes], scalar_pages: int,
         "scalar": lambda: [scheme.sign_scalar(p, strict=False)
                            for p in scalar_subset],
         "vector": lambda: [scheme.sign(p, strict=False) for p in pages],
-        "chunked": lambda: [chunked.sign(p) for p in pages],
         "batch": lambda: single.sign_many(pages, strict=False),
         "batch_workers": lambda: pooled.sign_many(pages, strict=False),
     }
@@ -360,8 +356,6 @@ def _bench_field(f: int, n: int, pages: list[bytes], scalar_pages: int,
         _entry("scalar", len(scalar_subset),
                _best_seconds(checks["scalar"], repeats)),
         _entry("vector", len(pages), _best_seconds(checks["vector"], repeats)),
-        _entry("chunked", len(pages),
-               _best_seconds(checks["chunked"], repeats)),
         _entry("batch", len(pages), _best_seconds(checks["batch"], repeats)),
         _entry("batch_workers", len(pages),
                _best_seconds(checks["batch_workers"], repeats)),
@@ -379,7 +373,6 @@ def _bench_field(f: int, n: int, pages: list[bytes], scalar_pages: int,
         "speedups": {
             "batch_vs_scalar": round(rates["batch"] / rates["scalar"], 2),
             "batch_vs_vector": round(rates["batch"] / rates["vector"], 2),
-            "batch_vs_chunked": round(rates["batch"] / rates["chunked"], 2),
             "workers_vs_batch": round(rates["batch_workers"] / rates["batch"],
                                       2),
             "incremental_vs_batch": round(
@@ -1164,7 +1157,7 @@ def run(quick: bool = False, workers: int = WORKERS) -> dict:
             "dirty_fraction": DIRTY_FRACTION,
             "dirty_region_bytes": DIRTY_REGION_BYTES,
             "fields": [{"f": f, "n": n} for f, n in FIELDS],
-            "paths": ["scalar", "vector", "chunked", "batch",
+            "paths": ["scalar", "vector", "batch",
                       "batch_workers", "map_rescan", "incremental"],
             "store": {
                 "page_bytes": STORE_PAGE_BYTES,

@@ -110,10 +110,6 @@ LADDER_CACHE_MAX = 64
 #: Smallest ladder capacity built (below this, growth churn dominates).
 _LADDER_MIN_CAPACITY = 1024
 
-#: Cache-effectiveness accounting (read by the engine's metrics).
-ladder_hits = 0
-ladder_misses = 0
-
 
 def _ladder_capacity(length: int) -> int:
     """Power-of-two capacity covering ``length`` (geometric growth)."""
@@ -132,7 +128,6 @@ def ladder_exponents(field: GField, beta: int, length: int) -> np.ndarray:
     gathering from the *doubled* antilog table multiplies without any
     modulo reduction (the Section 4.1 trick, applied per-array).
     """
-    global ladder_hits, ladder_misses
     if beta == 0:
         raise GaloisFieldError("signature base element must be non-zero")
     log_beta = field.log(beta)
@@ -141,9 +136,7 @@ def ladder_exponents(field: GField, beta: int, length: int) -> np.ndarray:
         ladder = _LADDERS.get(key)
         if ladder is not None and ladder.size >= length:
             _LADDERS.move_to_end(key)
-            ladder_hits += 1
             return ladder[:length]
-        ladder_misses += 1
         capacity = _ladder_capacity(length)
         ladder = (log_beta * np.arange(capacity, dtype=np.int64)) % field.order
         ladder.flags.writeable = False
@@ -198,12 +191,9 @@ def _grow_stack(field: GField, betas: tuple[int, ...], length: int) -> np.ndarra
 
 def ladder_cache_clear() -> None:
     """Drop every cached ladder (test isolation; never needed in prod)."""
-    global ladder_hits, ladder_misses
     with _LADDER_LOCK:
         _LADDERS.clear()
         _STACKS.clear()
-        ladder_hits = 0
-        ladder_misses = 0
 
 
 def power_weights(field: GField, beta: int, length: int, start: int = 0) -> np.ndarray:
@@ -312,52 +302,34 @@ def pack_pages(pages: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(matrix, lengths)`` with ``L = max(len(page))``.  Zero
     padding is signature-neutral: a zero symbol contributes no term, and
     padding sits *after* any scheme pre-mapping, so the row signature of
-    the padded matrix equals the page signature exactly.
+    the padded matrix equals the page signature exactly.  The pages are
+    concatenated once and packed by :func:`pack_flat`.
     """
     if not pages:
         return np.zeros((0, 0), dtype=np.int64), np.zeros(0, dtype=np.int64)
     lengths = np.fromiter((page.size for page in pages), dtype=np.int64,
                           count=len(pages))
-    width = int(lengths.max())
-    if (len(pages) > 1 and 0 < width
-            and len(pages) < _MASK_FILL_ROW_RATIO * width
-            and int(lengths.min()) != width
-            and all(page.dtype == pages[0].dtype for page in pages)):
-        # Long mixed rows: fill straight from the page arrays -- one
-        # copy per page, no flat intermediate (see pack_flat's regime
-        # note; the concatenation would double the bytes moved here).
-        # Mixed dtypes fall through to concatenate, which promotes.
-        matrix = np.zeros((len(pages), width), dtype=pages[0].dtype)
-        for row, page in enumerate(pages):
-            matrix[row, :page.size] = page
-        return matrix, lengths
     flat = pages[0] if len(pages) == 1 else np.concatenate(pages)
     return pack_flat(flat, lengths), lengths
 
 
 def batch_signature_matrix(field: GField, matrix: np.ndarray,
-                           betas: tuple[int, ...],
-                           ladders: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+                           betas: tuple[int, ...]) -> np.ndarray:
     """Component signatures of every row of a zero-padded symbol matrix.
 
     The batch analogue of :func:`signature_vector`: **one** log-gather
     over the whole ``(N, L)`` matrix, then per base coordinate one
-    cached-ladder broadcast add and one doubled-antilog gather, XOR-
-    reduced along each row.  Table setup (the ladder) is amortized over
-    all ``N`` pages -- the Broder-style batching economics.
-
-    ``ladders`` optionally supplies pre-fetched position-exponent arrays
-    (one per beta, each at least ``L`` long) -- the engine passes its
-    :class:`~repro.sig.engine.PowerLadderCache` bundle here.
+    broadcast add of that coordinate's row of the :func:`ladder_stack`
+    store and one doubled-antilog gather, XOR-reduced along each row.
+    Table setup (the ladder) is amortized over all ``N`` pages -- the
+    Broder-style batching economics.
 
     Returns an ``(N, len(betas))`` int64 matrix of components.
     """
     n_pages, width = matrix.shape
+    ladders = ladder_stack(field, tuple(betas), width)
     out = np.zeros((n_pages, len(betas)), dtype=np.int64)
     if n_pages == 0 or width == 0:
-        for beta in betas:
-            if beta == 0:
-                raise GaloisFieldError("signature base element must be non-zero")
         return out
     # Zero symbols (padding included) read the 2*order log sentinel and
     # gather from the zero tail of the antilog table: no mask needed.
@@ -365,11 +337,7 @@ def batch_signature_matrix(field: GField, matrix: np.ndarray,
     # its own coordinate.
     logs = field._log_sentinel[matrix]
     antilog_double = field._antilog_double
-    for j, beta in enumerate(betas):
-        if ladders is not None:
-            ladder = ladders[j][:width]
-        else:
-            ladder = ladder_exponents(field, beta, width)
+    for j, ladder in enumerate(ladders):
         out[:, j] = np.bitwise_xor.reduce(antilog_double[logs + ladder], axis=1)
     return out
 
@@ -441,8 +409,7 @@ def shift_rows(field: GField, components: np.ndarray, positions: np.ndarray,
 
 
 def delta_signature_matrix(field: GField, matrix: np.ndarray,
-                           positions: np.ndarray, betas: tuple[int, ...],
-                           ladders: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+                           positions: np.ndarray, betas: tuple[int, ...]) -> np.ndarray:
     """Shifted component signatures of many delta regions in one pass.
 
     Row ``k`` of ``matrix`` holds the (zero-padded, already-mapped)
@@ -453,7 +420,7 @@ def delta_signature_matrix(field: GField, matrix: np.ndarray,
     :func:`batch_signature_matrix` pass over all regions, then one
     :func:`shift_rows` pass for the ``alpha^r`` scaling.
     """
-    components = batch_signature_matrix(field, matrix, betas, ladders)
+    components = batch_signature_matrix(field, matrix, betas)
     return shift_rows(field, components, positions, betas)
 
 

@@ -20,8 +20,8 @@ Sub-modules:
 * :mod:`rolling`  -- sliding-window signatures and Las Vegas search.
 * :mod:`twisted`  -- Proposition 6 bijection-twisted schemes and the
   log-interpretation speed variant (Section 5.1).
-* :mod:`engine`   -- the batched many-page signer (2-D kernels, shared
-  β-power ladder cache, optional worker threads).
+* :mod:`engine`   -- the batched many-page signer (one lane of
+  cache-sized 2-D kernel blocks, optional worker threads).
 * :mod:`incremental` -- write journals and the O(|delta|) in-place
   signature-map maintenance plane (Proposition 3, batched).
 * :mod:`arena`    -- the zero-copy page-buffer plane: pages as
@@ -51,8 +51,7 @@ from .compound import PageSlice, SignatureMap, slice_pages
 from .tree import SignatureTree, TreeDiff, TreeNode
 from .rolling import RollingWindow, find_signature_matches, search
 from .twisted import TwistedScheme, log_interpretation_scheme, sign_log_interpreted_fast
-from .fast import ChunkedSigner, PairedTableSigner
-from .engine import BatchSigner, PowerLadderCache, get_batch_signer
+from .engine import BatchSigner, get_batch_signer
 from .parallel import resolve_workers, scheme_from_spec, scheme_spec
 from .incremental import (
     FoldReport,
@@ -101,10 +100,7 @@ __all__ = [
     "TwistedScheme",
     "log_interpretation_scheme",
     "sign_log_interpreted_fast",
-    "ChunkedSigner",
-    "PairedTableSigner",
     "BatchSigner",
-    "PowerLadderCache",
     "get_batch_signer",
     "CopyLedger",
     "LEDGER",

@@ -68,6 +68,14 @@ from .signature import Signature
 #: Default damage budget: the d of the d-cover-free family.
 DEFAULT_D = 4
 
+#: The exact domain of :meth:`LocateDesign.build`.  For every capacity
+#: and damage budget within these limits the chosen design's codeword
+#: arithmetic ``a * page + b`` stays below 2^63 (worst case ~8.9e18, at
+#: capacity 2^28 and d = 29), so the int64 kernels equal Python-int
+#: arithmetic; anything outside is rejected before the ``q**k`` search.
+MAX_PAGE_CAPACITY = 1 << 28
+MAX_D = 64
+
 #: Decode verdicts.
 CLEAN = "clean"
 LOCATED = "located"
@@ -133,12 +141,17 @@ class LocateDesign:
         Searches the Kautz-Singleton parameter space (``q`` prime,
         ``q >= d*(k-1) + 1``, ``q^k >= page_capacity``) for the fewest
         groups; when no candidate beats one-group-per-page the identity
-        design is returned instead.
+        design is returned instead.  ``page_capacity`` and ``d`` must
+        lie in the exact domain (:data:`MAX_PAGE_CAPACITY`,
+        :data:`MAX_D`).
         """
-        if page_capacity < 0:
-            raise SignatureError("page capacity must be non-negative")
-        if d < 1:
-            raise SignatureError("the damage budget d must be at least 1")
+        if not 0 <= page_capacity <= MAX_PAGE_CAPACITY:
+            raise SignatureError(
+                f"page capacity {page_capacity} outside [0, "
+                f"{MAX_PAGE_CAPACITY}]")
+        if not 1 <= d <= MAX_D:
+            raise SignatureError(
+                f"the damage budget d = {d} is outside [1, {MAX_D}]")
         capacity = max(1, page_capacity)
         best: tuple[int, int, int] | None = None   # (groups, k, q)
         for k in range(2, max(3, capacity.bit_length() + 1)):

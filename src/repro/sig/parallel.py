@@ -5,18 +5,19 @@ chunk still contends for the GIL around the numpy dispatch; on many-core
 boxes single-process signing caps out well below memory bandwidth.  This
 module adds the escape hatch:
 
-* the parent lands the batch's narrow symbol run **once** in a
+* the parent lands the batch's raw symbol run **once** in a
   :class:`~repro.sig.arena.PageArena` backed by
   :mod:`multiprocessing.shared_memory`;
-* row-block spans (bounded by the signer's ``block_symbols``) go to a
-  process pool whose workers map the arena **by name** -- page content
-  is never pickled, only ``(name, spec, offset, lengths)`` coordinates;
+* the engine's row blocks (:func:`~repro.sig.engine.row_spans`) are
+  dealt out in contiguous runs, one per worker, to a process pool whose
+  workers map the arena **by name** -- page content is never pickled,
+  only ``(name, spec, offset, lengths, spans)`` coordinates;
 * each worker rebuilds the scheme from a compact :func:`scheme_spec`
   (field + base parameters; twisted schemes ship their bijection name,
-  or the table itself for custom phis), signs its span through the same
-  ``pack_flat`` + ``batch_signature_matrix`` kernels, and returns only
+  or the table itself for custom phis), signs its blocks through the
+  engine's own :func:`~repro.sig.engine.sign_spans`, and returns only
   the small component matrix;
-* the parent concatenates components in span order -- byte-identical to
+* the parent concatenates components in block order -- byte-identical to
   the in-process path (property-tested in ``tests/test_sig_parallel.py``),
   so the paper's Proposition 1/2 detection guarantees are untouched.
 
@@ -41,8 +42,8 @@ import numpy as np
 
 from ..errors import SignatureError
 from ..gf.field import GF
-from ..gf.vectorized import batch_signature_matrix, pack_flat
 from .arena import LEDGER, PageArena
+from .engine import row_spans, sign_spans
 from .scheme import AlgebraicSignatureScheme
 from .twisted import TwistedScheme, log_interpretation_scheme
 
@@ -142,32 +143,31 @@ def _cached_scheme(spec: SchemeSpec) -> AlgebraicSignatureScheme:
 # Worker side
 # ----------------------------------------------------------------------
 
-def _sign_attached(scheme: AlgebraicSignatureScheme, buf,
-                   start_symbol: int, lengths: list[int]) -> np.ndarray:
-    """Sign one span of an attached arena; returns fresh components.
+def _sign_attached(scheme: AlgebraicSignatureScheme, buf, dtype: str,
+                   start_symbol: int, lengths: list[int],
+                   spans: list[tuple[int, int]]) -> np.ndarray:
+    """Sign row blocks of an attached arena; returns fresh components.
 
     Runs in its own frame so every view of the shared buffer dies before
     the caller closes the mapping.
     """
-    field = scheme.field
-    dtype = np.dtype(np.uint8) if field.f == 8 else np.dtype("<u2")
-    count = int(sum(lengths))
-    flat = np.frombuffer(buf, dtype=dtype, count=count,
+    dtype = np.dtype(dtype)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    flat = np.frombuffer(buf, dtype=dtype, count=int(lengths.sum()),
                          offset=start_symbol * dtype.itemsize)
-    mapped = scheme.map_symbols(flat)
-    matrix = pack_flat(mapped, np.asarray(lengths, dtype=np.int64))
-    return batch_signature_matrix(field, matrix, scheme.base.betas)
+    return sign_spans(scheme.field, scheme.base.betas,
+                      scheme.map_symbols(flat), lengths, spans)
 
 
 def _worker_sign(task) -> np.ndarray:
-    """Pool entry point: attach by name, sign the span, detach."""
-    name, spec, start_symbol, lengths = task
+    """Pool entry point: attach by name, sign the blocks, detach."""
+    name, spec, *coordinates = task
     from multiprocessing import shared_memory
 
     scheme = _cached_scheme(spec)
     shm = shared_memory.SharedMemory(name=name)
     try:
-        return _sign_attached(scheme, shm.buf, start_symbol, lengths)
+        return _sign_attached(scheme, shm.buf, *coordinates)
     finally:
         shm.close()
 
@@ -223,44 +223,20 @@ atexit.register(shutdown_pools)
 # Parent side
 # ----------------------------------------------------------------------
 
-def _spans(lengths: np.ndarray, block_symbols: int,
-           workers: int) -> list[tuple[int, int]]:
-    """Row spans bounded by ``block_symbols``, widened to >= workers."""
-    spans: list[tuple[int, int]] = []
-    start, width = 0, 0
-    for i, size in enumerate(lengths.tolist()):
-        next_width = max(width, size)
-        if i > start and next_width * (i - start + 1) > block_symbols:
-            spans.append((start, i))
-            start, width = i, size
-        else:
-            width = next_width
-    if lengths.size:
-        spans.append((start, int(lengths.size)))
-    if workers > 1 and len(spans) < workers:
-        split: list[tuple[int, int]] = []
-        for lo, hi in spans:
-            parts = min(workers, hi - lo)
-            step = -(-(hi - lo) // parts) if parts else hi - lo
-            split.extend(
-                (at, min(at + step, hi)) for at in range(lo, hi, step)
-            )
-        spans = split
-    return spans
-
-
 def sign_flat_spans(scheme: AlgebraicSignatureScheme, flat: np.ndarray,
-                    lengths: np.ndarray, workers: int,
-                    block_symbols: int) -> np.ndarray:
-    """Component matrix of a flat narrow batch, signed across processes.
+                    lengths: np.ndarray, workers: int) -> np.ndarray:
+    """Component matrix of a flat raw batch, signed across processes.
 
-    ``flat`` is the parent's narrow (pre-mapping) symbol run; it lands
-    once in a shared arena, workers sign disjoint row spans, and the
-    result is the same ``(N, n)`` int64 matrix the in-process lane
-    produces.  The shared block is unlinked on every exit path.
+    ``flat`` is the parent's raw (pre-mapping) symbol run; it lands
+    once in a shared arena, each worker signs one contiguous run of the
+    batch's row blocks, and the result is the same ``(N, n)`` int64
+    matrix the in-process lane produces.  The shared block is unlinked
+    on every exit path.
     """
     starts = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=starts[1:])
+    spans = row_spans(lengths, workers)
+    share = -(-len(spans) // workers)
     arena = PageArena(max(int(flat.nbytes), 1), shared=True,
                       align=flat.dtype.itemsize)
     try:
@@ -270,23 +246,23 @@ def sign_flat_spans(scheme: AlgebraicSignatureScheme, flat: np.ndarray,
         del landing
         LEDGER.count(int(flat.nbytes))
         spec = scheme_spec(scheme)
-        spans = _spans(lengths, block_symbols, workers)
         pool = get_pool(workers)
+        futures = []
+        for at in range(0, len(spans), share):
+            run = spans[at:at + share]
+            lo, hi = run[0][0], run[-1][1]
+            futures.append(pool.submit(_worker_sign, (
+                arena.name, spec, flat.dtype.str, int(starts[lo]),
+                lengths[lo:hi].tolist(),
+                [(a - lo, b - lo) for a, b in run])))
         try:
-            futures = [
-                pool.submit(_worker_sign, (arena.name, spec,
-                                           int(starts[lo]),
-                                           lengths[lo:hi].tolist()))
-                for lo, hi in spans
-            ]
-            per_span = [future.result() for future in futures]
+            per_run = [future.result() for future in futures]
         except BrokenProcessPool:
             # A dead worker poisons the whole executor; drop it so the
             # next call builds a fresh pool (the shared block is still
             # unlinked by the finally below -- nothing leaks).
             _discard_pool(workers, pool)
             raise
-        return per_span[0] if len(per_span) == 1 else \
-            np.concatenate(per_span)
+        return per_run[0] if len(per_run) == 1 else np.concatenate(per_run)
     finally:
         arena.close()

@@ -4,8 +4,9 @@ The engine's whole contract is *exactness at batch speed*: every fast
 path must be byte-identical to the reference ``scheme.sign``.  These
 tests state that as hypothesis properties over random page lists --
 mixed lengths (empty pages included), both production fields, plain and
-twisted schemes -- plus deterministic checks of the ladder caches, the
-worker mode, the signer pool, and the tree bulk build.
+twisted schemes -- plus deterministic checks of the block boundaries,
+the certainty bound on every entry point, the worker mode, the signer
+pool, and the tree bulk build.
 """
 
 import numpy as np
@@ -21,7 +22,6 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.sig import (
     LEDGER,
     BatchSigner,
-    PowerLadderCache,
     SignatureMap,
     SignatureTree,
     concat_all,
@@ -29,7 +29,7 @@ from repro.sig import (
     make_scheme,
     slice_pages,
 )
-from repro.sig.engine import DEFAULT_LADDERS, ladder_cache_info
+from repro.sig import engine
 from repro.sig.twisted import log_interpretation_scheme
 
 #: id -> scheme factory results, built once: the paper's production
@@ -74,8 +74,9 @@ class TestBatchExactness:
     def test_workers_equal_single_thread(self, name, data):
         scheme = SCHEMES[name]
         pages = data.draw(pages_strategy(scheme, max_pages=12))
-        # Tiny block size forces multiple blocks -> the pool actually runs.
-        pooled = BatchSigner(scheme, workers=3, block_symbols=64)
+        # A batch of fewer blocks than workers is split per worker, so
+        # the pool runs even on these small batches.
+        pooled = BatchSigner(scheme, workers=3)
         assert pooled.sign_many(pages) == [scheme.sign(p) for p in pages]
 
     @settings(max_examples=20, deadline=None)
@@ -255,51 +256,42 @@ class TestTreeBulkBuild:
 
 
 # ----------------------------------------------------------------------
-# Ladder caches, worker splitting, the signer pool, metrics
+# Block boundaries, the certainty bound, the signer pool, metrics
 # ----------------------------------------------------------------------
 
-class TestPowerLadderCache:
+def scalar_delta_pages(scheme, rng, sizes, page_symbols):
+    """Pages, a rewritten copy, and the ``(page, position, before, after)``
+    regions between them (mixed and zero widths)."""
+    symbol_bytes = scheme.scheme_id.symbol_bytes
+    page_bytes = page_symbols * symbol_bytes
+    image = rng.integers(0, 256, size=len(sizes) * page_bytes,
+                        dtype=np.uint8).tobytes()
+    mutated = bytearray(image)
+    regions = []
+    for page, size in enumerate(sizes):
+        position = int(rng.integers(0, page_symbols - size + 1))
+        start = page * page_bytes + position * symbol_bytes
+        before = image[start:start + size * symbol_bytes]
+        after = rng.integers(0, 256, size=len(before),
+                             dtype=np.uint8).tobytes()
+        mutated[start:start + len(after)] = after
+        regions.append((page, position, before, after))
+    return image, bytes(mutated), regions
 
-    def test_bundle_reuse_and_slicing(self):
-        scheme = make_scheme(f=16, n=2)
-        cache = PowerLadderCache()
-        long = cache.exponents(scheme, 512)
-        assert cache.misses == 1 and cache.hits == 0
-        short = cache.exponents(scheme, 100)
-        assert cache.hits == 1 and cache.misses == 1
-        for full, sliced in zip(long, short):
-            assert sliced.size == 100
-            assert np.array_equal(full[:100], sliced)
-        # Growing beyond the cached capacity is a (single) new miss.
-        cache.exponents(scheme, 1024)
-        assert cache.misses == 2
 
-    def test_lru_eviction_and_clear(self):
-        cache = PowerLadderCache(maxsize=2)
-        schemes = [make_scheme(f=16, n=n) for n in (1, 2, 3)]
-        for scheme in schemes:
-            cache.exponents(scheme, 16)
-        assert len(cache._bundles) == 2
-        cache.clear()
-        assert cache.hits == cache.misses == 0 == len(cache._bundles)
-
-    def test_batch_paths_share_default_cache(self):
-        scheme = make_scheme(f=16, n=2)
-        BatchSigner(scheme).sign_many([b"ab" * 32])
-        before = DEFAULT_LADDERS.hits
-        BatchSigner(scheme).sign_many([b"cd" * 16])
-        assert DEFAULT_LADDERS.hits > before
-        info = ladder_cache_info()
-        assert set(info) == {"bundle_hits", "bundle_misses",
-                             "ladder_hits", "ladder_misses"}
-
-    def test_invalid_sizes_rejected(self):
-        with pytest.raises(SignatureError):
-            PowerLadderCache(maxsize=0)
-        with pytest.raises(SignatureError):
-            BatchSigner(make_scheme(), workers=0)
-        with pytest.raises(SignatureError):
-            BatchSigner(make_scheme(), block_symbols=0)
+#: Every strict entry point, signing one body of ``symbols`` symbols.
+STRICT_ENTRY_POINTS = {
+    "sign_many": lambda signer, body, symbols:
+        signer.sign_many([body, b""])[0],
+    "sign_map": lambda signer, body, symbols:
+        signer.sign_map(body, symbols).signatures[0],
+    "sign_concat": lambda signer, body, symbols:
+        signer.sign_concat([body[:3], body[3:]]),
+    "sign_concat_many": lambda signer, body, symbols:
+        signer.sign_concat_many([[body], [b"ab"]])[0],
+    "delta_signature_many": lambda signer, body, symbols:
+        signer.delta_signature_many([(0, bytes(len(body)), body)])[0],
+}
 
 
 class TestEnginePlumbing:
@@ -312,13 +304,83 @@ class TestEnginePlumbing:
         clone = make_scheme(f=16, n=2)
         assert get_batch_signer(clone).scheme is clone
 
-    def test_block_splitting_preserves_order(self):
-        scheme = make_scheme(f=16, n=2)
+    def test_invalid_workers_rejected(self):
+        with pytest.raises(SignatureError):
+            BatchSigner(make_scheme(), workers=0)
+
+    def test_block_splitting_preserves_order(self, monkeypatch):
+        """A tiny block budget cuts every lane into many row blocks, and
+        every multi-page entry point still equals the scalar loop."""
+        monkeypatch.setattr(engine, "BLOCK_SYMBOLS", 16)
         rng = np.random.default_rng(3)
-        pages = [rng.integers(0, scheme.field.size, size=size).tolist()
-                 for size in (30, 1, 0, 64, 17, 64, 2, 50)]
-        tiny = BatchSigner(scheme, block_symbols=64)
-        assert tiny.sign_many(pages) == [scheme.sign(p) for p in pages]
+        sizes = (30, 1, 0, 64, 17, 64, 2, 50, 0, 9)
+        for scheme in SCHEMES.values():
+            symbol_bytes = scheme.scheme_id.symbol_bytes
+            pages = [rng.integers(0, 256, size=size * symbol_bytes,
+                                  dtype=np.uint8).tobytes()
+                     for size in sizes]
+            expected = [scheme.sign_scalar(page) for page in pages]
+            serial = BatchSigner(scheme)
+            assert serial.sign_many(pages) == expected
+            assert serial.sign_many(
+                [scheme.to_symbols(page).tolist() for page in pages]
+            ) == expected
+            assert serial.sign_concat_many(
+                [[page[:3], page[3:]] for page in pages]) == expected
+            assert BatchSigner(scheme, workers=2).sign_many(pages) == \
+                expected
+            process = BatchSigner(scheme, workers=2, backend="process")
+            assert process.sign_many(pages) == expected
+            # Coerced runs (symbol sequences, odd-length GF(2^16) bytes,
+            # and batches mixing them with raw pages) take the process
+            # backend too.
+            odd = [page + b"\x07" for page in pages]
+            assert process.sign_many(odd) == \
+                [scheme.sign_scalar(page) for page in odd]
+            sequences = [scheme.to_symbols(page).tolist() for page in pages]
+            assert process.sign_many(sequences) == expected
+            assert process.sign_many(
+                [seq if i % 2 else page
+                 for i, (seq, page) in enumerate(zip(sequences, pages))]
+            ) == expected
+            image = b"".join(odd)
+            assert process.sign_map(image, 24).signatures == \
+                serial.sign_map(image, 24).signatures
+
+            page_symbols = 24
+            image, mutated, regions = scalar_delta_pages(
+                scheme, rng, (5, 0, 24, 1, 12, 7, 3), page_symbols)
+            page_bytes = page_symbols * symbol_bytes
+            old = [scheme.sign_scalar(image[at:at + page_bytes])
+                   for at in range(0, len(image), page_bytes)]
+            new = [scheme.sign_scalar(mutated[at:at + page_bytes])
+                   for at in range(0, len(mutated), page_bytes)]
+            assert serial.sign_map(image, page_symbols).signatures == old
+            for signer in (serial, BatchSigner(scheme, workers=2)):
+                deltas = signer.delta_signature_many(
+                    [(position, before, after)
+                     for _page, position, before, after in regions])
+                assert [sig ^ delta for sig, delta in zip(old, deltas)] \
+                    == new
+                page_map = signer.sign_map(image, page_symbols)
+                signer.apply_deltas(page_map, regions)
+                assert page_map.signatures == new
+
+    @pytest.mark.parametrize("name", ["gf16", "gf8"])
+    @pytest.mark.parametrize("entry", sorted(STRICT_ENTRY_POINTS))
+    def test_certainty_bound_on_every_entry_point(self, entry, name):
+        scheme = SCHEMES[name]
+        symbol_bytes = scheme.scheme_id.symbol_bytes
+        bound = scheme.max_page_symbols
+        rng = np.random.default_rng(bound)
+        body = rng.integers(0, 256, size=(bound + 1) * symbol_bytes,
+                            dtype=np.uint8).tobytes()
+        sign = STRICT_ENTRY_POINTS[entry]
+        signer = BatchSigner(scheme)
+        at_bound = body[:bound * symbol_bytes]
+        assert sign(signer, at_bound, bound) == scheme.sign(at_bound)
+        with pytest.raises(PageTooLongError):
+            sign(signer, body, bound + 1)
 
     def test_engine_metrics_emitted(self):
         registry = MetricsRegistry()

@@ -228,8 +228,8 @@ def test_apply_deltas_byte_and_array_regions_agree(sizes):
     map_bytes = SignatureMap.compute(scheme, buffer, PAGE_SYMBOLS)
     net_bytes = signer.apply_deltas(map_bytes, regions)
 
-    # Symbol-array regions are ineligible for the concatenation fast
-    # path and exercise the per-region fallback.
+    # Symbol-array regions are coerced by scheme.to_symbols on their way
+    # into the same flat lane the byte regions are viewed into.
     array_regions = [
         (page, position, scheme.to_symbols(before), scheme.to_symbols(after))
         for page, position, before, after in regions

@@ -20,6 +20,8 @@ The load-bearing properties of :mod:`repro.sig.locate`:
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,7 @@ from repro.sig import (
 )
 from repro.sig import decode as locate_decode
 from repro.sig.incremental import IncrementalSignatureMap
+from repro.sig.locate import MAX_D, MAX_PAGE_CAPACITY
 from repro.sim.network import SimNetwork
 from repro.store import PageStore
 from repro.sync import Replica, sync_by_locator, sync_by_tree
@@ -124,6 +127,25 @@ class TestLocateDesign:
         design = LocateDesign.build(4, 4, 0)
         assert design.kind == "identity"
         assert design.group_count == 4
+
+    def test_domain_bounds_rejected(self):
+        for capacity, d in ((MAX_PAGE_CAPACITY + 1, 4), (1 << 62, 4),
+                            (-1, 4), (64, 0), (64, MAX_D + 1)):
+            with pytest.raises(SignatureError):
+                LocateDesign.build(capacity, d, 0)
+
+    @pytest.mark.parametrize("d", [1, 4, 29, MAX_D])
+    def test_codewords_exact_at_the_largest_capacity(self, d):
+        """int64 codewords equal Python-int arithmetic at the top of the
+        exact domain (the 2^31-page design overflowed int64 silently)."""
+        design = LocateDesign.build(MAX_PAGE_CAPACITY, d, 7)
+        assert design.kind == "ks"
+        pages = np.array([0, 1, 12345, MAX_PAGE_CAPACITY // 3,
+                          MAX_PAGE_CAPACITY - 2, MAX_PAGE_CAPACITY - 1],
+                         dtype=np.int64)
+        expected = [(design.a * page + design.b) % design.modulus
+                    for page in pages.tolist()]
+        assert design._codewords(pages).tolist() == expected
 
     def test_sublinear_growth(self):
         """289 groups cover a million pages at d=4: O((d log N)^2)."""
@@ -267,6 +289,24 @@ class TestWireFormat:
         back = LocatorMap.from_bytes(locator.to_bytes(), scheme)
         assert back == locator
         assert back.design == design
+
+    def test_crafted_capacity_fails_fast(self):
+        """A 54-byte header naming 2^62 pages never reaches the q**k
+        search: the exact-domain check rejects it with a typed error."""
+        scheme = SCHEMES["plain-gf16"]
+        header = bytearray(LocatorMap.from_map(
+            LocateDesign.build(64, 4, 9),
+            SignatureMap.compute(scheme, bytes(64 * 16), PAGE_SYMBOLS),
+        ).to_bytes()[:54])
+        header[4:12] = (1 << 62).to_bytes(8, "little")
+        start = time.perf_counter()
+        with pytest.raises(SignatureError):
+            LocatorMap.from_bytes(bytes(header), scheme)
+        assert time.perf_counter() - start < 1.0
+        header[4:12] = (64).to_bytes(8, "little")
+        header[12:16] = (1 << 31).to_bytes(4, "little")
+        with pytest.raises(SignatureError):
+            LocatorMap.from_bytes(bytes(header), scheme)
 
     def test_truncated_blob_raises(self):
         scheme = SCHEMES["plain-gf16"]

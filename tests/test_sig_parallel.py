@@ -125,10 +125,9 @@ class TestProcessExactness:
 
     def test_process_backend_large_batch_spans_workers(self):
         scheme = SCHEMES["gf16"]
-        pages = [bytes([i % 256] * 400) for i in range(128)]
-        # A small block budget forces multiple spans -> multiple tasks.
-        signer = BatchSigner(scheme, workers=2, backend="process",
-                             block_symbols=2048)
+        # 128 x 2048 symbols fill several row blocks -> one task per worker.
+        pages = [bytes([i % 256] * 4096) for i in range(128)]
+        signer = BatchSigner(scheme, workers=2, backend="process")
         assert signer.sign_many(pages) == [scheme.sign(p) for p in pages]
 
     def test_single_worker_process_backend_stays_in_process(self):
