@@ -34,6 +34,7 @@ from enum import Enum
 
 from pathlib import Path
 
+from ..errors import StoreError
 from ..obs import activate, get_registry, span_if_active
 from ..obs.trace import TraceContext
 from ..sdds.record import Record
@@ -77,15 +78,32 @@ def serialize_bucket(server: SDDSServer) -> bytes:
 
 
 def deserialize_bucket(image: bytes) -> list[Record]:
-    """Inverse of :func:`serialize_bucket`."""
+    """Inverse of :func:`serialize_bucket`.
+
+    The image comes back from a recovered log, so every length is
+    checked before it is read: a truncated image, an impossible record
+    count or trailing bytes raise :class:`~repro.errors.StoreError`.
+    """
+    if len(image) < _IMAGE_HEADER.size:
+        raise StoreError(f"bucket image of {len(image)} bytes has no header")
     count, = _IMAGE_HEADER.unpack_from(image)
     offset = _IMAGE_HEADER.size
+    if count > (len(image) - offset) // _RECORD_HEADER.size:
+        raise StoreError(
+            f"bucket image claims {count} records in {len(image)} bytes")
     records = []
     for _ in range(count):
+        if offset + _RECORD_HEADER.size > len(image):
+            raise StoreError(f"bucket image truncated at byte {offset}")
         value_len, key = _RECORD_HEADER.unpack_from(image, offset)
         offset += _RECORD_HEADER.size
+        if offset + value_len > len(image):
+            raise StoreError(f"record {key} runs past the bucket image")
         records.append(Record(key, image[offset:offset + value_len]))
         offset += value_len
+    if offset != len(image):
+        raise StoreError(
+            f"{len(image) - offset} trailing bytes after the bucket image")
     return records
 
 

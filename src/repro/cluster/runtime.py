@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..errors import ReproError
+from ..errors import ReproError, StoreError
 from ..obs import (
     FlightRecorder,
     RecorderDump,
@@ -45,7 +45,7 @@ from ..sig.scheme import AlgebraicSignatureScheme, make_scheme
 from ..sim.clock import SimClock
 from ..sim.network import NetworkModel, SimNetwork
 from ..store.pagestore import PageStore
-from ..sync import Replica, sync_by_locator, sync_by_tree
+from ..sync import Replica, sync_by_tree
 from .events import EventLoop
 from .faults import Crash, FaultPlan
 from .network import FaultyNetwork
@@ -109,21 +109,10 @@ class Cluster:
                  durable_checkpoint_every: int | None = 64,
                  durable_flush: str = "frame",
                  recovery_workers: int | None = None,
-                 service: "ServicePolicy | None" = None,
-                 sync_protocol: str = "tree"):
+                 service: "ServicePolicy | None" = None):
         if servers < 2:
             raise ClusterError("a cluster needs at least 2 server nodes")
-        if sync_protocol not in ("tree", "locator"):
-            raise ClusterError(
-                f"unknown sync protocol {sync_protocol!r}; "
-                "use 'tree' or 'locator'"
-            )
         self.seed = seed
-        #: Anti-entropy protocol for mirror repair: ``"tree"`` walks
-        #: the signature tree; ``"locator"`` ships the O(d^2 log^2 N)
-        #: group-testing locator first and falls back to the tree on
-        #: decode overflow (PR 10).
-        self.sync_protocol = sync_protocol
         #: Per-node request-service policy (PR 7).  ``None`` keeps the
         #: original inline semantics; a queued policy gives every node
         #: a bounded inbox with deadline/queue-depth load shedding.
@@ -390,7 +379,7 @@ class Cluster:
         image = store.image(volume)
         try:
             records = deserialize_bucket(image)
-        except Exception:
+        except StoreError:
             store.close()
             return False
         for record in records:
@@ -478,11 +467,7 @@ class Cluster:
         host = self.mirror_host(source.index)
         if not (source.is_up and host.is_up) or host.mirror is None:
             return 0
-        if self.sync_protocol == "locator":
-            report = sync_by_locator(source.image, host.mirror,
-                                     self.network)
-        else:
-            report = sync_by_tree(source.image, host.mirror, self.network)
+        report = sync_by_tree(source.image, host.mirror, self.network)
         registry = get_registry()
         registry.counter("cluster.repair_bytes", phase=phase).inc(
             report.total_bytes

@@ -2,14 +2,14 @@
 
 A bucket couples a :class:`~repro.sdds.heap.RecordHeap` (the byte image
 the backup engine signs) with a :class:`~repro.sdds.btree.BTree` index
-mapping keys to heap extents.  Buckets know how to split -- the SDDS
-growth primitive: "each split sends about half of a bucket to a newly
-created bucket" (Section 2).
+mapping keys to heap extents.  The split that moves records between
+buckets lives on :meth:`repro.sdds.server.SDDSServer.move_records`,
+which carries stored signatures along.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ..errors import DuplicateKeyError, KeyNotFoundError
 from .btree import BTree
@@ -39,11 +39,6 @@ class Bucket:
 
     def __contains__(self, key: int) -> bool:
         return key in self.index
-
-    @property
-    def is_overfull(self) -> bool:
-        """True when the bucket holds more records than its capacity."""
-        return len(self.index) > self.capacity_records
 
     def insert(self, record: Record) -> None:
         """Insert a new record; duplicate keys are rejected."""
@@ -93,22 +88,6 @@ class Bucket:
     def keys(self) -> Iterator[int]:
         """All keys in ascending order."""
         return self.index.keys()
-
-    # ------------------------------------------------------------------
-    # Splitting
-    # ------------------------------------------------------------------
-
-    def split_into(self, target: "Bucket", moves: Callable[[int], bool]) -> int:
-        """Move every record whose key satisfies ``moves`` to ``target``.
-
-        Returns the number of records moved.  LH* passes the rehash
-        predicate ``h_{i+1}(key) == new_bucket``; RP* passes a key-range
-        predicate.
-        """
-        moving = [key for key in self.index.keys() if moves(key)]
-        for key in moving:
-            target.insert(self.delete(key))
-        return len(moving)
 
     def median_key(self) -> int:
         """The middle key (RP* splits the range here)."""

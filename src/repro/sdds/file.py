@@ -92,13 +92,16 @@ class LHFile:
         """Create a new client with a fresh (minimal) image."""
         return LHClient(name, self)
 
+    def owner(self, key: int) -> SDDSServer:
+        """The server whose bucket holds ``key`` in the current file state."""
+        return self.servers[self.addressing.client_address(
+            key, self.state.level, self.state.pointer)]
+
     def check_placement(self) -> None:
         """Assert every record lives in its LH*-correct bucket (tests)."""
         for server in self.servers:
             for key in server.bucket.keys():
-                correct = self.addressing.client_address(
-                    key, self.state.level, self.state.pointer
-                )
+                correct = self.owner(key).server_id
                 if correct != server.server_id:
                     raise SDDSError(
                         f"key {key} in bucket {server.server_id}, belongs in {correct}"
@@ -131,23 +134,13 @@ class LHFile:
         self.servers.append(target)
         source.bucket.level = new_level
         target.bucket.level = new_level
-        moved_bytes = 0
-        moving = [
-            key for key in source.bucket.keys()
-            if self.addressing.h(new_level, key) == new_id
-        ]
-        for key in moving:
-            record = source.bucket.delete(key)
-            target.bucket.insert(record)
-            if source.store_signatures:
-                sig = source._stored_sigs.pop(key, None)
-                if sig is not None:
-                    target._stored_sigs[key] = sig
-            moved_bytes += record.size
+        moved = source.move_records(
+            target, lambda key: self.addressing.h(new_level, key) == new_id)
         # "Each split sends about half of a bucket to a newly created
         # bucket" -- account the shipment as one bulk transfer.
         self.network.send(source.name, target.name, messages.SPLIT_TRANSFER,
-                          messages.HEADER_BYTES + moved_bytes)
+                          messages.HEADER_BYTES
+                          + sum(record.size for record in moved))
         self.state.after_split(self.addressing)
         self.splits_performed += 1
 

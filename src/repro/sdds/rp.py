@@ -113,6 +113,17 @@ class RPFile:
         """Create a new client with a fresh one-entry image."""
         return RPClient(name, self)
 
+    def owner(self, key: int) -> RPServer:
+        """The server whose interval holds ``key``, found along split hints.
+
+        Bucket 0 was created over the whole key space, so the walk from
+        it reaches every key's owner.
+        """
+        server = self.servers[0]
+        while (target := server.forward_target(key)) is not None:
+            server = self.servers[target]
+        return server
+
     def check_placement(self) -> None:
         """Assert interval coverage and per-record placement (tests)."""
         intervals = sorted((s.low, s.high) for s in self.servers)
@@ -148,18 +159,10 @@ class RPFile:
         self.servers.append(target)
         source.high = median
         insort(source.split_hints, (median, new_id))
-        moved_bytes = 0
-        moving = [key for key in source.bucket.keys() if key >= median]
-        for key in moving:
-            record = source.bucket.delete(key)
-            target.bucket.insert(record)
-            if source.store_signatures:
-                sig = source._stored_sigs.pop(key, None)
-                if sig is not None:
-                    target._stored_sigs[key] = sig
-            moved_bytes += record.size
+        moved = source.move_records(target, lambda key: key >= median)
         self.network.send(source.name, target.name, messages.SPLIT_TRANSFER,
-                          messages.HEADER_BYTES + moved_bytes)
+                          messages.HEADER_BYTES
+                          + sum(record.size for record in moved))
         self.splits_performed += 1
 
 

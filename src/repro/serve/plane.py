@@ -2,7 +2,8 @@
 
 A :class:`ServingPlane` assembles, on one deterministic event loop:
 
-* N **bucket nodes**, each an :class:`~repro.sdds.server.SDDSServer`
+* N **bucket nodes**, each a server of an
+  :class:`~repro.sdds.file.LHFile` or :class:`~repro.sdds.rp.RPFile`
   behind a queued :class:`~repro.serve.service.RequestService` -- the
   modelled single-CPU server with admission control;
 * thousands of **sessions** -- lightweight non-blocking clients that
@@ -10,8 +11,8 @@ A :class:`ServingPlane` assembles, on one deterministic event loop:
   LH*/RP* Image Adjustment Messages, all without ever blocking the
   loop (unlike :class:`~repro.cluster.runtime.ClusterClient`, whose
   one-op-at-a-time retry loop *drives* the loop);
-* live **splits**: buckets split by the real LH*/RP* algorithms while
-  requests for the moving keys sit in their queues.
+* live **splits**: the file's own LH*/RP* split runs from the event
+  loop while requests for the moving keys sit in their queues.
 
 Correctness under a racing split rests on two re-checks: a node
 verifies ownership at *delivery* (forwarding misdirected frames, the
@@ -29,9 +30,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_right, insort
 
-from ..obs import get_registry
-from ..sdds.lh import ClientImage, FileState, LHAddressing
-from ..sdds.rp import KEY_SPACE
+from ..obs import MetricsRegistry, get_registry
+from ..sdds.file import LHFile
+from ..sdds.lh import ClientImage
+from ..sdds.rp import KEY_SPACE, RPFile
 from ..sdds.record import Record
 from ..sdds.server import SDDSServer
 from ..sig.scheme import AlgebraicSignatureScheme, make_scheme
@@ -64,20 +66,12 @@ class ServeError(ReproError):
 
 
 class BucketNode:
-    """One serving bucket: SDDS server + request service + routing."""
+    """One serving bucket: a file server + request service + routing."""
 
-    def __init__(self, plane: "ServingPlane", bucket_id: int,
-                 low: int = 0, high: int = KEY_SPACE):
+    def __init__(self, plane: "ServingPlane", bucket_id: int):
         self.plane = plane
         self.bucket_id = bucket_id
-        self.server = SDDSServer(bucket_id, plane.scheme,
-                                 capacity_records=1 << 20,
-                                 store_signatures=True)
-        #: RP* range [low, high) -- unused (full-space) under LH*.
-        self.low = low
-        self.high = high
-        #: RP* forwarding hints: sorted (median, new_bucket) split history.
-        self.split_hints: list[tuple[int, int]] = []
+        self.server = plane.file.servers[bucket_id]
         self.service = RequestService(self.name, plane.loop, plane.policy,
                                       execute=self._finish,
                                       shed=self._shed)
@@ -97,6 +91,13 @@ class BucketNode:
         """LH* bucket level (meaningless under RP*)."""
         return self.server.bucket.level
 
+    @property
+    def bounds(self) -> tuple[int, int]:
+        """RP* key range ``[low, high)``; the whole key space under LH*."""
+        if self.plane.family == "rp":
+            return self.server.low, self.server.high
+        return 0, KEY_SPACE
+
     def owns(self, key: int) -> bool:
         """True when ``key`` belongs to this bucket right now."""
         return self.forward_target(key) is None
@@ -104,18 +105,9 @@ class BucketNode:
     def forward_target(self, key: int) -> int | None:
         """Bucket to forward ``key`` to, or None when it belongs here."""
         if self.plane.family == "lh":
-            return self.plane.addressing.server_forward(
+            return self.plane.file.addressing.server_forward(
                 key, self.bucket_id, self.level)
-        if self.low <= key < self.high:
-            return None
-        if key >= self.high and self.split_hints:
-            index = bisect_right(self.split_hints, (key, KEY_SPACE)) - 1
-            if index >= 0:
-                return self.split_hints[index][1]
-        raise ServeError(
-            f"{self.name} cannot route key {key} "
-            f"outside [{self.low}, {self.high})"
-        )
+        return self.server.forward_target(key)
 
     # ------------------------------------------------------------------
     # Request path
@@ -151,12 +143,12 @@ class BucketNode:
                 # level/address; the client image adjustment never
                 # overshoots the true file state.
                 self._send_iam(session, self.bucket_id, self.level,
-                               self.low, self.high)
+                               *self.bounds)
             plane.forward_frame(self, target, data)
             return
         if forwarded and plane.family == "rp":
             # RP* IAM: the owning server reports its range.
-            self._send_iam(session, self.bucket_id, 0, self.low, self.high)
+            self._send_iam(session, self.bucket_id, 0, *self.bounds)
         request = ServeRequest(op, key, value,
                                read=(op == cwire.OP_SEARCH),
                                deadline=deadline,
@@ -170,7 +162,7 @@ class BucketNode:
         self._inflight.discard(request_id)
         session = self.plane.session_for(request_id)
         reply = swire.encode_reply(cwire.ST_SHED, request_id, self.bucket_id,
-                                   self.level, self.low, self.high)
+                                   self.level, *self.bounds)
         # Shed replies are not cached: a backed-off retry of the same
         # request id must be allowed to execute once load subsides.
         self._transmit_reply(session, cwire.seal(self.plane.scheme, reply))
@@ -200,7 +192,7 @@ class BucketNode:
             member_id, _frame = member.meta
             self._inflight.discard(member_id)
             reply = swire.encode_reply(status, member_id, self.bucket_id,
-                                       self.level, self.low, self.high,
+                                       self.level, *self.bounds,
                                        reply_value)
             sealed = cwire.seal(plane.scheme, reply)
             self._reply_cache[member_id] = sealed
@@ -259,11 +251,12 @@ class Session:
         self._seq = 0
         self.pending: dict[int, _PendingOp] = {}
         #: LH* image snapshot (refined by IAMs).
-        self.image = ClientImage(plane.state.level, plane.state.pointer) \
+        self.image = ClientImage(plane.file.state.level,
+                                 plane.file.state.pointer) \
             if plane.family == "lh" else None
         #: RP* image: sorted range lows and their owning buckets.
         if plane.family == "rp":
-            pairs = sorted((node.low, node.bucket_id)
+            pairs = sorted((node.bounds[0], node.bucket_id)
                            for node in plane.nodes)
             self._bounds = [low for low, _ in pairs]
             self._owners = [owner for _, owner in pairs]
@@ -277,7 +270,7 @@ class Session:
         """The bucket this session's image addresses ``key`` to."""
         plane = self.plane
         if plane.family == "lh":
-            address = plane.addressing.client_address(
+            address = plane.file.addressing.client_address(
                 key, self.image.level, self.image.pointer)
             return plane.nodes[address]
         index = bisect_right(self._bounds, key) - 1
@@ -394,7 +387,7 @@ class Session:
             return
         bucket, level, low, _high = swire.decode_iam(body)
         if plane.family == "lh":
-            self.image = plane.addressing.adjust_image(
+            self.image = plane.file.addressing.adjust_image(
                 self.image, level, bucket)
             return
         index = bisect_right(self._bounds, low) - 1
@@ -476,9 +469,15 @@ class ServingPlane:
         # High-volume series must be bounded *before* first touch.
         registry.set_histogram_backend("serve.wait_seconds", "bucketed")
         registry.set_histogram_backend("serve.latency_seconds", "bucketed")
-        self.addressing = LHAddressing(initial_buckets=buckets) \
-            if family == "lh" else LHAddressing()
-        self.state = FileState()
+        # The file's own split transfers go to a private network: the
+        # plane accounts each live split on its network without
+        # advancing the event-loop clock (see _adopt_split).
+        split_sink = SimNetwork(registry=MetricsRegistry())
+        self.file = LHFile(self.scheme, capacity_records=1 << 20,
+                           network=split_sink, initial_buckets=buckets,
+                           store_signatures=True) if family == "lh" \
+            else RPFile(self.scheme, capacity_records=1 << 20,
+                        network=split_sink, store_signatures=True)
         self.nodes: list[BucketNode] = [
             BucketNode(self, index) for index in range(buckets)
         ]
@@ -517,14 +516,7 @@ class ServingPlane:
 
     def owner_of(self, key: int) -> BucketNode:
         """The bucket that owns ``key`` under the *true* current state."""
-        if self.family == "lh":
-            address = self.addressing.client_address(
-                key, self.state.level, self.state.pointer)
-            return self.nodes[address]
-        for node in self.nodes:
-            if node.low <= key < node.high:
-                return node
-        raise ServeError(f"no bucket owns key {key}")
+        return self.nodes[self.file.owner(key).server_id]
 
     def forward_frame(self, source: BucketNode, target: int,
                       data: bytes) -> None:
@@ -636,54 +628,30 @@ class ServingPlane:
     # Live splits
     # ------------------------------------------------------------------
 
-    def _move_records(self, source: BucketNode, target: BucketNode,
-                      moves) -> int:
-        """Move ``moves``-selected records; returns bytes shipped."""
-        moved = [record for record in list(source.server.bucket.records())
-                 if moves(record.key)]
-        shipped = 0
-        for record in moved:
-            source.server.delete(record.key)
-            target.server.insert(record)
-            shipped += 8 + len(record.value)
-        if shipped:
-            self.network.account(source.name, target.name,
-                                 swire.SPLIT_KIND, shipped)
-        return shipped
-
     def _split_lh(self) -> None:
         """Split the bucket at the LH* split pointer (live)."""
         self._lh_split_pending = False
-        source = self.nodes[self.state.pointer]
-        new_id = len(self.nodes)
-        new_level = source.level + 1
-        target = BucketNode(self, new_id)
-        self.nodes.append(target)
-        shipped = self._move_records(
-            source, target,
-            lambda key: self.addressing.h(new_level, key) == new_id)
-        source.server.bucket.level = new_level
-        target.server.bucket.level = new_level
-        self.state.after_split(self.addressing)
-        self._note_split(source, target, shipped)
+        source = self.nodes[self.file.state.pointer]
+        self.file.split()
+        self._adopt_split(source)
 
     def _split_rp(self, source: BucketNode) -> None:
         """Split an overfull RP* bucket at its median key (live)."""
         source.split_pending = False
         if len(source.server.bucket) <= self.split_threshold:
             return
-        median = source.server.bucket.median_key()
-        new_id = len(self.nodes)
-        target = BucketNode(self, new_id, low=median, high=source.high)
-        self.nodes.append(target)
-        shipped = self._move_records(source, target,
-                                     lambda key: key >= median)
-        source.high = median
-        insort(source.split_hints, (median, new_id))
-        self._note_split(source, target, shipped)
+        self.file.split(source.server)
+        self._adopt_split(source)
 
-    def _note_split(self, source: BucketNode, target: BucketNode,
-                    shipped: int) -> None:
+    def _adopt_split(self, source: BucketNode) -> None:
+        """Serve the bucket the file's split just created; account it."""
+        target = BucketNode(self, len(self.nodes))
+        self.nodes.append(target)
+        shipped = sum(8 + len(record.value)
+                      for record in target.server.bucket.records())
+        if shipped:
+            self.network.account(source.name, target.name,
+                                 swire.SPLIT_KIND, shipped)
         self.splits += 1
         self.split_log.append((self.clock.now, source.bucket_id,
                                target.bucket_id, shipped))
@@ -713,14 +681,10 @@ class ServingPlane:
             # Split synchronously during preload: the live-split path
             # needs traffic; here we only want the starting topology.
             if self.family == "rp":
-                if len(node.server.bucket) > self.split_threshold:
-                    node.split_pending = True
-                    self._split_rp(node)
-            else:
-                capacity = self.split_threshold * len(self.nodes)
-                if len(self.oracle) > self.split_load * capacity:
-                    self._lh_split_pending = True
-                    self._split_lh()
+                self._split_rp(node)
+            elif len(self.oracle) > self.split_load * (
+                    self.split_threshold * len(self.nodes)):
+                self._split_lh()
 
     @staticmethod
     def _value_for(key: int, version: int, value_bytes: int) -> bytes:

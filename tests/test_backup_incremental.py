@@ -4,8 +4,8 @@ Covers the PR 4 integration surface: ``BackupEngine.backup_incremental``
 (journal fold, quiet passes, the dirty-extent full-re-sign fallback,
 warm trees), warm :class:`~repro.sync.Replica` state across every
 mutator, map/tree sync with warm endpoints, the SDDS server's O(|delta|)
-stored-signature updates and live bucket map, and the cluster's sealed
-mirror delta frames under corruption.
+stored-signature updates under a journaled heap, and the cluster's
+sealed mirror delta frames under corruption.
 """
 
 import numpy as np
@@ -215,9 +215,11 @@ class TestServerDeltaUpdates:
         assert server._stored_sigs[1] == \
             scheme16.sign(b"a much longer value", strict=False)
 
-    def test_live_map_tracks_the_bucket_image(self, scheme16):
+    def test_attach_heap_tracks_server_mutations(self, scheme16):
         server = SDDSServer(0, scheme16, store_signatures=True)
-        server.enable_live_map(page_bytes=128)
+        engine = _engine(scheme16)
+        journal = engine.attach_heap(server.bucket.heap)
+        engine.backup_incremental("vol", server.bucket.image, journal)
         rng = np.random.default_rng(41)
         for key in range(30):
             server.insert(Record(key, rng.integers(
@@ -226,11 +228,11 @@ class TestServerDeltaUpdates:
             sig = scheme16.sign(server.search(key).value, strict=False)
             assert server.conditional_update(
                 key, bytes(40), sig) is UpdateOutcome.APPLIED
+        assert server.stats.delta_updates == 3
         server.delete(15)
-        live = server.live_map()
-        expected = SignatureMap.compute(
-            scheme16, bytes(server.bucket.heap.image), 64)
-        assert live.signatures == expected.signatures
+        engine.backup_incremental("vol", server.bucket.image, journal)
+        assert not journal
+        _assert_map_exact(engine, "vol", scheme16, server.bucket.image)
 
 
 class TestClusterDeltaFrames:

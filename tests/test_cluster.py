@@ -8,7 +8,11 @@ post-crash recovery re-converges the replicas.  Identical seeds must
 yield byte-identical run-report JSON.
 """
 
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     Cluster,
@@ -21,8 +25,13 @@ from repro.cluster import (
     Partition,
     RetryExhaustedError,
     RetryPolicy,
+    deserialize_bucket,
+    serialize_bucket,
 )
+from repro.errors import StoreError
 from repro.obs import MetricsRegistry, RunReport, use_registry
+from repro.sdds import Record, SDDSServer
+from repro.sig import make_scheme
 
 
 def run_workload(cluster, operations=40):
@@ -231,3 +240,38 @@ class TestDeterminism:
 
     def test_different_seed_different_report(self):
         assert self.report_json(1234) != self.report_json(1235)
+
+
+def _server_with(records: dict[int, bytes]) -> SDDSServer:
+    server = SDDSServer(0, make_scheme())
+    for key, value in records.items():
+        assert server.insert(Record(key, value))
+    return server
+
+
+class TestBucketImageCodec:
+    @given(st.dictionaries(st.integers(0, 2**32 - 1),
+                           st.binary(max_size=64), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, records):
+        image = serialize_bucket(_server_with(records))
+        decoded = deserialize_bucket(image)
+        assert {record.key: record.value for record in decoded} == records
+        assert [record.key for record in decoded] == sorted(records)
+        assert serialize_bucket(_server_with(
+            {record.key: record.value for record in decoded})) == image
+
+    @pytest.mark.parametrize("craft", [
+        lambda image: image[:-3],
+        lambda image: image[:12],
+        lambda image: image + b"\x00",
+        lambda image: struct.pack("<Q", 2**63) + image[8:],
+        lambda image: struct.pack("<Q", 2) + image[8:],
+        lambda image: b"",
+        lambda image: image[:5],
+    ], ids=["truncated-value", "cut-header", "trailing", "huge-count",
+            "over-counted", "empty", "short-header"])
+    def test_crafted_image_raises_store_error(self, craft):
+        image = serialize_bucket(_server_with({7: b"hello world"}))
+        with pytest.raises(StoreError):
+            deserialize_bucket(craft(image))

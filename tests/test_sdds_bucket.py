@@ -168,14 +168,6 @@ class TestBucket:
             bucket.insert(Record(key, b"v"))
         assert [r.key for r in bucket.records()] == [10, 20, 30]
 
-    def test_overfull_flag(self):
-        bucket = Bucket(0, capacity_records=2)
-        bucket.insert(Record(1, b"a"))
-        bucket.insert(Record(2, b"b"))
-        assert not bucket.is_overfull
-        bucket.insert(Record(3, b"c"))
-        assert bucket.is_overfull
-
     def test_no_hard_capacity_stop(self):
         """Linear hashing splits buckets in pointer order, so a bucket
         may legitimately exceed capacity until its turn; buckets must be
@@ -183,20 +175,7 @@ class TestBucket:
         bucket = Bucket(0, capacity_records=2)
         for key in range(10):
             bucket.insert(Record(key, b"x"))
-        assert bucket.is_overfull
         assert len(bucket) == 10
-
-    def test_split_into(self):
-        bucket = Bucket(0)
-        for key in range(20):
-            bucket.insert(Record(key, bytes([key])))
-        target = Bucket(1)
-        moved = bucket.split_into(target, moves=lambda key: key % 2 == 1)
-        assert moved == 10
-        assert sorted(bucket.keys()) == list(range(0, 20, 2))
-        assert sorted(target.keys()) == list(range(1, 20, 2))
-        for key in range(1, 20, 2):
-            assert target.get(key).value == bytes([key])
 
     def test_median_key(self):
         bucket = Bucket(0)
