@@ -51,16 +51,12 @@ with no acked operation lost (the live splits were safe).  The block's
 numbers are simulated time, so they are deterministic and live in the
 document's stable region.
 
-The ``copies`` block (schema v6) is the zero-copy plane's accounting
-sweep: the sign -> delta-fold -> seal pipeline is run twice per field,
-once with the **legacy shapes** (per-page ``int64`` widenings, per-row
-matrix packing, ``b"".join`` body and delta materializations --
-reimplemented inline with every materialization charged explicitly)
-and once through the **arena path** (the engine's narrow lanes, charged
-by the live :data:`~repro.sig.arena.LEDGER`).  Both runs are verified
-byte-identical before their ledgers are compared, and the harness
-fails unless the arena path moves at least
-:data:`COPIES_MIN_REDUCTION` times fewer bytes per payload byte.
+The ``copies`` block is the zero-copy plane's accounting sweep: the
+engine's sign -> delta-fold -> seal pipeline runs once per field with
+every materialization charged by the live
+:data:`~repro.sig.arena.LEDGER`.  Its results are verified against the
+plain per-page ``scheme.sign`` path, and the harness fails if it moves
+more than :data:`COPIES_MAX_PER_BYTE` bytes per payload byte.
 Copies-per-byte is deterministic (it counts bytes, not seconds), so
 the whole block lives in the stable region CI compares across runs.
 
@@ -131,7 +127,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ReproError
-from .gf.vectorized import batch_signature_matrix, delta_signature_matrix
 from .sig import (LEDGER, BatchSigner, IncrementalSignatureMap,
                   JournalEntry, SignatureMap, SignatureTree, make_scheme,
                   resolve_workers)
@@ -143,7 +138,7 @@ from .store import PageStore
 from .sync import Replica, sync_by_locator, sync_by_map, sync_by_tree
 
 #: Document schema tag; bump on any shape change.
-SCHEMA = "repro.bench/batch-engine/v9"
+SCHEMA = "repro.bench/batch-engine/v10"
 
 PAGE_BYTES = 64 * 1024
 SEED = 20040301          # ICDE 2004 -- the paper's venue
@@ -186,9 +181,9 @@ SERVE_OPS_PER_STEP_QUICK = 2048
 #: Goodput past saturation must hold at this fraction of peak.
 SERVE_MIN_POST_SATURATION = 0.8
 
-#: Copies-per-byte sweep: the arena path must move at least this many
-#: times fewer bytes per payload byte than the legacy shapes.
-COPIES_MIN_REDUCTION = 3.0
+#: Copies-per-byte sweep: bytes the signing pipeline may move per
+#: payload byte (the one landing copy, plus headroom for small scratch).
+COPIES_MAX_PER_BYTE = 2.0
 #: Delta regions and sealed bodies folded into the copies pipeline.
 COPIES_REGIONS = 32
 COPIES_BODY_HEADER = b"frame-header-17b!"
@@ -598,76 +593,14 @@ def _bench_serve(quick: bool) -> dict:
     }
 
 
-def _legacy_batch_sign(scheme, pages: list[bytes]) -> list[Signature]:
-    """The pre-arena batch pipeline, every materialization charged.
-
-    This is the shape ``BatchSigner.sign_many`` had before the arena:
-    one ``int64`` widening per page (8 bytes moved per payload byte
-    under GF(2^8), 4 under GF(2^16)), a twisted-map gather where the
-    scheme has one, and a per-row Python loop packing the padded page
-    matrix.  The charges are explicit because the legacy shapes no
-    longer exist in the engine to instrument.
-    """
-    rows = []
-    for page in pages:
-        symbols = scheme.to_symbols(page)
-        LEDGER.count(symbols.nbytes)          # int64 widening
-        mapped = scheme.map_symbols(symbols)
-        if mapped is not symbols:
-            LEDGER.count(mapped.nbytes)       # twisted phi gather
-        rows.append(mapped)
-    if not rows:
-        return []
-    width = max(row.size for row in rows)
-    matrix = np.zeros((len(rows), width), dtype=np.int64)
-    for index, row in enumerate(rows):        # the per-row pack loop
-        matrix[index, :row.size] = row
-    LEDGER.count(matrix.nbytes)
-    components = batch_signature_matrix(scheme.field, matrix,
-                                        scheme.base.betas)
-    return [Signature(tuple(int(c) for c in comp), scheme.scheme_id)
-            for comp in components]
-
-
-def _legacy_delta_fold(scheme, regions) -> list[Signature]:
-    """The pre-arena delta pipeline: joined sides, widened, packed."""
-    positions = [position for position, _b, _a in regions]
-    joined_before = b"".join(b for _p, b, _a in regions)
-    LEDGER.count(len(joined_before))
-    joined_after = b"".join(a for _p, _b, a in regions)
-    LEDGER.count(len(joined_after))
-    before_symbols = scheme.signable_symbols(joined_before)
-    LEDGER.count(before_symbols.nbytes)
-    after_symbols = scheme.signable_symbols(joined_after)
-    LEDGER.count(after_symbols.nbytes)
-    if not scheme.is_linear:
-        # signable_symbols mapped each side: one more gather per side.
-        LEDGER.count(before_symbols.nbytes + after_symbols.nbytes)
-    xor = before_symbols ^ after_symbols
-    LEDGER.count(xor.nbytes)
-    matrix = xor.reshape(len(regions), -1)    # uniform regions
-    components = delta_signature_matrix(
-        scheme.field, matrix, np.asarray(positions, dtype=np.int64),
-        scheme.base.betas)
-    return [Signature(tuple(int(c) for c in comp), scheme.scheme_id)
-            for comp in components]
-
-
-def _legacy_seal_many(scheme, bodies) -> list[Signature]:
-    """The pre-arena sealing shape: join each body, sign owned bytes."""
-    joined = []
-    for parts in bodies:
-        body = b"".join(parts)
-        LEDGER.count(len(body))
-        joined.append(body)
-    return _legacy_batch_sign(scheme, joined)
-
-
 def _bench_copies(f: int, n: int, pages: list[bytes]) -> dict:
-    """Copies-per-byte of the sign -> fold -> seal pipeline, both modes.
+    """Copies-per-byte of the engine's sign -> fold -> seal pipeline.
 
-    Both modes are verified byte-identical before their ledgers are
-    compared; the reduction is enforced at :data:`COPIES_MIN_REDUCTION`.
+    The pipeline's results are first checked against the plain
+    ``scheme.sign`` path (a delta region's signature is the XOR of the
+    signatures of its zero-prefixed after and before sides, per
+    Proposition 3); its charged bytes are bounded by
+    :data:`COPIES_MAX_PER_BYTE`.
     """
     scheme = make_scheme(f=f, n=n)
     signer = BatchSigner(scheme)
@@ -692,39 +625,37 @@ def _bench_copies(f: int, n: int, pages: list[bytes]) -> dict:
                + sum(len(part) for parts in bodies for part in parts))
 
     with LEDGER.counting() as ledger:
-        legacy = (_legacy_batch_sign(scheme, pages),
-                  _legacy_delta_fold(scheme, regions),
-                  _legacy_seal_many(scheme, bodies))
-        legacy_copied, legacy_events = ledger.bytes_copied, ledger.events
-    with LEDGER.counting() as ledger:
         arena = (signer.sign_many(pages, strict=False),
                  signer.delta_signature_many(regions),
                  signer.sign_concat_many(bodies, strict=False))
-        arena_copied, arena_events = ledger.bytes_copied, ledger.events
-    if legacy != arena:
-        raise BenchError(f"legacy and arena pipelines diverged on GF(2^{f})")
+        copied, events = ledger.bytes_copied, ledger.events
 
-    legacy_cpb = legacy_copied / payload
-    arena_cpb = arena_copied / payload
-    reduction = legacy_cpb / max(arena_cpb, 1e-9)
-    if reduction < COPIES_MIN_REDUCTION:
+    def sign(data: bytes) -> Signature:
+        return scheme.sign(data, strict=False)
+
+    def shifted(position: int, side: bytes) -> bytes:
+        return bytes(position * symbol_bytes) + side
+
+    reference = (
+        [sign(page) for page in pages],
+        [sign(shifted(position, after)) ^ sign(shifted(position, before))
+         for position, before, after in regions],
+        [sign(b"".join(parts)) for parts in bodies],
+    )
+    if tuple(arena) != tuple(reference):
         raise BenchError(
-            f"arena path reduced copies-per-byte only {reduction:.2f}x on "
-            f"GF(2^{f}) (bound {COPIES_MIN_REDUCTION:g}x)")
+            f"copies pipeline diverged from scheme.sign on GF(2^{f})")
+    copies_per_byte = copied / payload
+    if copies_per_byte > COPIES_MAX_PER_BYTE:
+        raise BenchError(
+            f"copies pipeline moved {copies_per_byte:.4f} bytes per payload "
+            f"byte on GF(2^{f}) (bound {COPIES_MAX_PER_BYTE:g})")
     return {
         "field": f"gf{f}",
         "payload_bytes": payload,
-        "legacy": {
-            "bytes_copied": legacy_copied,
-            "events": legacy_events,
-            "copies_per_byte": round(legacy_cpb, 4),
-        },
-        "arena": {
-            "bytes_copied": arena_copied,
-            "events": arena_events,
-            "copies_per_byte": round(arena_cpb, 4),
-        },
-        "reduction": round(reduction, 2),
+        "bytes_copied": copied,
+        "events": events,
+        "copies_per_byte": round(copies_per_byte, 4),
     }
 
 
@@ -1190,7 +1121,7 @@ def run(quick: bool = False, workers: int = WORKERS) -> dict:
             "copies": {
                 "regions": COPIES_REGIONS,
                 "region_bytes": DIRTY_REGION_BYTES,
-                "min_reduction": COPIES_MIN_REDUCTION,
+                "max_per_byte": COPIES_MAX_PER_BYTE,
             },
             "cores": {
                 "min_process_speedup": CORES_MIN_PROCESS_SPEEDUP,

@@ -18,12 +18,13 @@ cache); recovery is driven by the cluster runtime, which reconstructs
 the bucket from the LH*RS parity group and re-converges both mirror
 relationships with :func:`repro.sync.sync_by_tree`.
 
-RPC handling is at-least-once with replay: requests are deduplicated by
-``request_id`` and answered from a reply cache, so a retried operation
-whose first attempt *did* execute returns its original answer instead
-of executing twice.  Every incoming payload is signature-verified
-before anything else -- a corrupted transfer is counted and discarded,
-never half-parsed.
+A node answers each request as it arrives, like the paper's SDDS
+servers: there is no request queue.  RPC handling is at-least-once
+with replay: requests are deduplicated by ``request_id`` and answered
+from a reply cache, so a retried operation whose first attempt *did*
+execute returns its original answer instead of executing twice.
+Every incoming payload is signature-verified before anything else -- a
+corrupted transfer is counted and discarded, never half-parsed.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from enum import Enum
 
 from pathlib import Path
 
-from ..errors import StoreError
+from ..errors import ReproError, StoreError
 from ..obs import activate, get_registry, span_if_active
 from ..obs.trace import TraceContext
 from ..sdds.record import Record
@@ -55,6 +56,14 @@ REQUEST_KINDS = {wire.OP_INSERT: "c_insert", wire.OP_SEARCH: "c_search",
 REPLY_KIND = "c_reply"
 MIRROR_KIND = "c_mirror_page"
 DELTA_KIND = "c_mirror_delta"
+
+#: Bucket-image page size: the granularity of mirror shipping, the
+#: durable log's image volume and anti-entropy repair.
+PAGE_BYTES = 128
+#: Record capacity of a node's SDDS bucket.  Cluster buckets never
+#: split (routing is static ``key mod n``), so this only has to exceed
+#: any workload.
+CAPACITY_RECORDS = 1 << 20
 
 
 class NodeState(Enum):
@@ -110,36 +119,20 @@ def deserialize_bucket(image: bytes) -> list[Record]:
 class ClusterNode:
     """One server node of the fault-injected cluster."""
 
-    def __init__(self, index: int, cluster, scheme: AlgebraicSignatureScheme,
-                 page_bytes: int, capacity_records: int = 1 << 20,
-                 policy: "ServicePolicy | None" = None):
+    def __init__(self, index: int, cluster, scheme: AlgebraicSignatureScheme):
         self.index = index
         self.cluster = cluster
         self.scheme = scheme
-        self.page_bytes = page_bytes
-        self.capacity_records = capacity_records
         self.state = NodeState.UP
         self.server = SDDSServer(index, scheme,
-                                 capacity_records=capacity_records,
+                                 capacity_records=CAPACITY_RECORDS,
                                  store_signatures=True)
-        #: Request admission and queueing (PR 7).  The default policy
-        #: is *inline* -- synchronous execution at delivery, the
-        #: original node semantics -- while a queued policy turns this
-        #: node into a modelled single-CPU server with a bounded inbox
-        #: that sheds overload with explicit ``SHED`` replies.
-        self.policy = policy if policy is not None else ServicePolicy()
-        self.service = RequestService(self.name, cluster.loop, self.policy,
-                                      execute=self._service_execute,
-                                      shed=self._service_shed)
         self.image = Replica(f"{self.name}.image", scheme,
-                             serialize_bucket(self.server), page_bytes)
+                             serialize_bucket(self.server), PAGE_BYTES)
         #: Hosted copy of the previous node's bucket image.
         self.mirror: Replica | None = None
         #: request_id -> sealed reply bytes (at-least-once replay).
         self._reply_cache: dict[int, bytes] = {}
-        #: request ids queued or executing (duplicate suppression for
-        #: queued policies; always empty between events when inline).
-        self._inflight: set[int] = set()
         #: Durable backend (PR 5): when attached, every image extent is
         #: also appended to a sealed local log that survives crashes.
         self.store: PageStore | None = None
@@ -153,7 +146,7 @@ class ClusterNode:
         self.store = store
         self.store_dir = store.directory
         store.write_image(self.IMAGE_VOLUME, self.image_bytes(),
-                          self.page_bytes)
+                          PAGE_BYTES)
 
     @property
     def name(self) -> str:
@@ -169,7 +162,7 @@ class ClusterNode:
         """(Re)create the hosted mirror replica, initially ``data``."""
         self.mirror = Replica(f"{self.name}.mirror[{source_name}]",
                               self.scheme, data or _IMAGE_HEADER.pack(0),
-                              self.page_bytes)
+                              PAGE_BYTES)
         return self.mirror
 
     # ------------------------------------------------------------------
@@ -207,67 +200,40 @@ class ClusterNode:
             return
         context, inner = wire.decode_traced(body)
         op, request_id, key, value = wire.decode_request(inner)
-        op_name = wire.OP_NAMES[op]
         cached = self._reply_cache.get(request_id)
         if cached is not None:
             registry.counter("cluster.rpc_replays", node=self.name).inc()
-            with self._traced(f"node.replay.{op_name}", context,
+            with self._traced(f"node.replay.{wire.OP_NAMES[op]}", context,
                               key=str(key)):
                 pass
             self._transmit_reply(request_id, cached)
             return
-        if request_id in self._inflight:
-            # Only possible under a queued policy: a retransmit raced
-            # the queue.  The queued copy will answer; re-queueing the
-            # duplicate would amplify the backlog the retry is fleeing.
-            registry.counter("cluster.rpc_inflight_dups",
-                             node=self.name).inc()
-            return
-        request = ServeRequest(op, key, value,
-                               read=(op == wire.OP_SEARCH),
-                               meta=(context, request_id))
-        self._inflight.add(request_id)
-        self.service.offer(request)
+        self._service_execute(op, request_id, key, value, context)
 
-    def _service_execute(self, request: "ServeRequest") -> None:
-        """Service completion callback: execute, reply, cache, answer."""
-        context, request_id = request.meta
-        if not self.is_up:
-            # A queued request completing after a crash: the volatile
-            # state it targeted is gone; drop like any in-flight frame.
-            get_registry().counter("cluster.down_drops",
-                                   node=self.name).inc()
-            for member in (request, *request.riders):
-                self._inflight.discard(member.meta[1])
-            return
-        op, key = request.op, request.key
+    def _service_execute(self, op: int, request_id: int, key: int,
+                         value: bytes, context: TraceContext | None) -> None:
+        """Execute one request, then cache and transmit its sealed reply."""
         op_name = wire.OP_NAMES[op]
         with self._traced(f"node.handle.{op_name}", context,
                           key=str(key)) as span:
-            status, reply_value = self._execute(op, key, request.value)
+            status, reply_value = self._execute(op, key, value)
             if span is not None:
                 span.event("executed", status=wire.ST_NAMES[status])
-        reply_context = None if span is None else span.context
-        for member in (request, *request.riders):
-            _member_context, member_id = member.meta
-            self._inflight.discard(member_id)
-            reply = wire.encode_traced(
-                reply_context, wire.encode_reply(status, member_id,
-                                                 reply_value)
-            )
-            cached = wire.seal(self.scheme, reply)
-            self._reply_cache[member_id] = cached
-            self._transmit_reply(member_id, cached)
-
-    def _service_shed(self, request: "ServeRequest", reason: str) -> None:
-        """Admission refused: explicit SHED reply, never cached."""
-        _context, request_id = request.meta
-        self._inflight.discard(request_id)
-        get_registry().counter("cluster.sheds", node=self.name,
-                               reason=reason).inc()
         reply = wire.encode_traced(
-            None, wire.encode_reply(wire.ST_SHED, request_id))
-        self._transmit_reply(request_id, wire.seal(self.scheme, reply))
+            None if span is None else span.context,
+            wire.encode_reply(status, request_id, reply_value))
+        sealed = wire.seal(self.scheme, reply)
+        self._reply_cache[request_id] = sealed
+        self._transmit_reply(request_id, sealed)
+
+    def _service_shed(self, *_args) -> None:
+        """Never called: nodes answer every request as it arrives.
+
+        Kept only because the wall-clock benchmark's layer ledger looks
+        this name up on the class; remove it once the benchmark stops
+        pinning it (ROADMAP, "One distributed runtime").
+        """
+        raise ReproError("cluster nodes never shed requests")
 
     def _transmit_reply(self, request_id: int, sealed: bytes) -> None:
         client = self.cluster.client_for_request(request_id)
@@ -323,9 +289,8 @@ class ClusterNode:
         symbol_bytes = self.scheme.scheme_id.symbol_bytes
         longest = max(len(previous), len(current))
         extents: list[tuple[int, int]] = []
-        page_bytes = self.page_bytes
-        for lo in range(0, longest, page_bytes):
-            hi = min(lo + page_bytes, longest)
+        for lo in range(0, longest, PAGE_BYTES):
+            hi = min(lo + PAGE_BYTES, longest)
             old_page = previous[lo:hi]
             new_page = current[lo:hi]
             if old_page == new_page:
@@ -467,17 +432,12 @@ class ClusterNode:
         """
         self.state = NodeState.CRASHED
         self.server = SDDSServer(self.index, self.scheme,
-                                 capacity_records=self.capacity_records,
+                                 capacity_records=CAPACITY_RECORDS,
                                  store_signatures=True)
         self.image = Replica(f"{self.name}.image", self.scheme,
-                             serialize_bucket(self.server), self.page_bytes)
+                             serialize_bucket(self.server), PAGE_BYTES)
         self.mirror = None
         self._reply_cache.clear()
-        self._inflight.clear()
-        self.service = RequestService(self.name, self.cluster.loop,
-                                      self.policy,
-                                      execute=self._service_execute,
-                                      shed=self._service_shed)
         if self.store is not None:
             self.store.close()
             self.store = None
@@ -490,10 +450,10 @@ class ClusterNode:
 
 
 # Imported last, deliberately: the serve package builds on cluster
-# primitives (wire, events) while the node builds on serve's service
-# abstraction.  Everything node.py needs from serve is defined before
-# serve imports anything from this module, so the bottom import breaks
-# the cycle in both import directions.
+# primitives (wire, events, ``serialize_bucket``) while the node builds
+# on serve's bucket dispatch.  Everything node.py needs from serve is
+# defined before serve imports anything from this module, so the bottom
+# import breaks the cycle in both import directions.
 from ..serve.ops import (  # noqa: E402
     EFFECT_INSERT,
     EFFECT_NONE,
@@ -501,4 +461,3 @@ from ..serve.ops import (  # noqa: E402
     EFFECT_UPDATE,
     apply_operation,
 )
-from ..serve.service import RequestService, ServeRequest, ServicePolicy  # noqa: E402

@@ -50,6 +50,7 @@ from .events import EventLoop
 from .faults import Crash, FaultPlan
 from .network import FaultyNetwork
 from .node import (
+    PAGE_BYTES,
     REQUEST_KINDS,
     ClusterNode,
     NodeState,
@@ -66,6 +67,13 @@ class ClusterError(ReproError):
 
 #: Recovery-channel message kinds.
 RECOVERY_SHARD = "c_recovery_shard"
+
+#: LH*RS reliability group shape: parity columns over the node
+#: buckets, and the parity slot size (the largest record value).
+PARITY_BUCKETS = 2
+RECORD_BYTES = 256
+#: Durable mode: each node checkpoints its log after this many frames.
+DURABLE_CHECKPOINT_EVERY = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,30 +109,19 @@ class Cluster:
                  plan: FaultPlan | None = None,
                  retry: RetryPolicy | None = None,
                  scheme: AlgebraicSignatureScheme | None = None,
-                 parity_buckets: int = 2,
-                 record_bytes: int = 256,
-                 page_bytes: int = 128,
-                 header_bytes: int = 16,
                  durable_dir: str | Path | None = None,
-                 durable_checkpoint_every: int | None = 64,
-                 durable_flush: str = "frame",
-                 recovery_workers: int | None = None,
-                 service: "ServicePolicy | None" = None):
+                 durable_flush: str = "frame"):
         if servers < 2:
             raise ClusterError("a cluster needs at least 2 server nodes")
         self.seed = seed
-        #: Per-node request-service policy (PR 7).  ``None`` keeps the
-        #: original inline semantics; a queued policy gives every node
-        #: a bounded inbox with deadline/queue-depth load shedding.
-        self.service = service
         self.scheme = scheme if scheme is not None else make_scheme()
         self.plan = plan if plan is not None else FaultPlan()
         self.retry = retry if retry is not None else RetryPolicy()
         self.clock = SimClock()
         self.loop = EventLoop(self.clock)
         self.network = SimNetwork(
-            clock=self.clock, model=NetworkModel(header_bytes=header_bytes)
-        )
+            clock=self.clock,
+            model=NetworkModel(header_bytes=wire.FRAME_HEADER_BYTES))
         self.faulty_network = FaultyNetwork(self.network, self.loop,
                                             self.plan, seed=seed)
         #: The telemetry plane: one trace store assembling per-op
@@ -137,13 +134,10 @@ class Cluster:
         self.traces.on_finish = self._on_span_finished
         self.faulty_network.listeners.append(self._on_link_fault)
         self.parity = LHRSStore(self.scheme, data_buckets=servers,
-                                parity_buckets=parity_buckets,
-                                record_bytes=record_bytes)
-        self.nodes = [
-            ClusterNode(index, self, self.scheme, page_bytes,
-                        policy=service)
-            for index in range(servers)
-        ]
+                                parity_buckets=PARITY_BUCKETS,
+                                record_bytes=RECORD_BYTES)
+        self.nodes = [ClusterNode(index, self, self.scheme)
+                      for index in range(servers)]
         for node in self.nodes:
             self._add_recorder(node.name)
         #: Durable mode (PR 5): every node appends its image extents to
@@ -151,11 +145,8 @@ class Cluster:
         #: local replay instead of LH*RS reconstruction.
         self.durable_dir = Path(durable_dir) if durable_dir is not None \
             else None
-        self.durable_checkpoint_every = durable_checkpoint_every
-        #: Write-path flush policy for the per-node logs and the worker
-        #: count for the segment-sharded certification scan (PR 9).
+        #: Write-path flush policy for the per-node logs.
         self.durable_flush = durable_flush
-        self.recovery_workers = recovery_workers
         if self.durable_dir is not None:
             for node in self.nodes:
                 node.attach_store(self._fresh_store(node))
@@ -279,9 +270,8 @@ class Cluster:
                 + list(directory.glob("*.ckpt")):
             leftover.unlink()
         return PageStore(self.scheme, directory,
-                         checkpoint_every=self.durable_checkpoint_every,
-                         flush=self.durable_flush,
-                         verify_workers=self.recovery_workers)
+                         checkpoint_every=DURABLE_CHECKPOINT_EVERY,
+                         flush=self.durable_flush)
 
     def _crash(self, node: ClusterNode, crash: Crash) -> None:
         if not node.is_up:
@@ -351,8 +341,7 @@ class Cluster:
         try:
             store, report = PageStore.recover(
                 self.scheme, node.store_dir,
-                checkpoint_every=self.durable_checkpoint_every,
-                verify_workers=self.recovery_workers,
+                checkpoint_every=DURABLE_CHECKPOINT_EVERY,
                 flush=self.durable_flush,
             )
         except (ReproError, OSError):
@@ -388,7 +377,7 @@ class Cluster:
             store.close()
             return False
         node.image = Replica(f"{node.name}.image", self.scheme, image,
-                             node.page_bytes)
+                             PAGE_BYTES)
         node.store = store
         node.store_dir = store.directory
         registry.counter("cluster.durable_recoveries", node=node.name).inc()
@@ -566,7 +555,6 @@ class ClusterClient:
         request_id = (self.index << 32) | self._seq
         self._seq += 1
         registry = get_registry()
-        policy = self.cluster.retry
         loop = self.cluster.loop
         traces = self.cluster.traces
         recorder = self.cluster.recorder_for(self.name)
@@ -580,7 +568,7 @@ class ClusterClient:
                     root.context,
                     wire.encode_request(op, request_id, key, value),
                 ))
-                budget = policy.begin(loop.clock.now)
+                budget = self.cluster.retry.begin(loop.clock.now)
                 while True:
                     if not budget.allow(loop.clock.now):
                         # Budget or operation deadline exhausted -- the
@@ -610,19 +598,7 @@ class ClusterClient:
                     if loop.run_until(
                             deadline,
                             stop=lambda: request_id in self._replies):
-                        if self._replies[request_id][0] != wire.ST_SHED:
-                            break
-                        # An overloaded node refused admission.  Back
-                        # off along the timeout ladder (spending the
-                        # budget) before offering the request again.
-                        self._replies.pop(request_id)
-                        registry.counter("cluster.shed_replies",
-                                         op=op_name).inc()
-                        root.event("shed", attempt=attempt + 1)
-                        loop.run_until(loop.clock.now
-                                       + policy.timeout_for(attempt,
-                                                            self._rng))
-                        continue
+                        break
                     registry.counter("cluster.timeouts", op=op_name).inc()
         finally:
             self._pending.discard(request_id)

@@ -69,6 +69,10 @@ _MIRROR = struct.Struct("<QI")
 _DELTA = struct.Struct("<QQ")
 _TRACED = struct.Struct("<QQ")
 
+#: Modelled per-message framing overhead (bytes) that the cluster and
+#: the serving plane charge on their simulated networks.
+FRAME_HEADER_BYTES = 16
+
 
 class WireError(ReproError):
     """Malformed (but correctly signed) cluster message body."""

@@ -437,8 +437,7 @@ class ServingPlane:
                  plan: FaultPlan | None = None,
                  split_threshold: int = 512,
                  split_load: float = 0.85,
-                 split_delay: float = 2e-3,
-                 header_bytes: int = 16):
+                 split_delay: float = 2e-3):
         if family not in ("lh", "rp"):
             raise ServeError(f"unknown SDDS family {family!r}")
         if buckets < 1:
@@ -450,8 +449,6 @@ class ServingPlane:
         self.scheme = scheme if scheme is not None else make_scheme()
         self.policy = policy if policy is not None \
             else ServicePolicy.serving(rate=2000.0, inbox_limit=64)
-        if self.policy.inline:
-            raise ServeError("the serving plane needs a queued policy")
         self.retry = retry if retry is not None else RetryPolicy(
             timeout=10e-3, backoff=2.0, max_timeout=0.08, max_attempts=6,
             jitter=0.1, budget=4, op_deadline=0.25)
@@ -462,7 +459,8 @@ class ServingPlane:
         self.clock = SimClock()
         self.loop = EventLoop(self.clock)
         self.network = SimNetwork(
-            clock=self.clock, model=NetworkModel(header_bytes=header_bytes))
+            clock=self.clock,
+            model=NetworkModel(header_bytes=cwire.FRAME_HEADER_BYTES))
         self.faulty_network = FaultyNetwork(self.network, self.loop,
                                             self.plan, seed=seed)
         registry = get_registry()

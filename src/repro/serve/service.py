@@ -2,21 +2,14 @@
 
 The paper's SDDS servers (LH*/RP* buckets) must serve thousands of
 concurrent clients without blocking; this module is the serving plane's
-core abstraction, refactored out of
-:class:`~repro.cluster.node.ClusterNode`'s inline request handling so
-both worlds share one request path:
-
-* **Inline policy** (the cluster default): zero service time, no inbox
-  bound -- ``offer()`` executes the request synchronously, exactly the
-  pre-refactor behaviour, byte-for-byte.
-* **Queued policy** (the serving plane): each request costs a modelled
-  service time on the node's single "CPU", so requests queue.  The
-  service then enforces *admission control*: a request is *shed* (an
-  explicit rejection the client backs off on, never a silent drop)
-  when the inbox is full (queue-depth shedding) or when the queue's
-  deterministic completion estimate already overruns the request's
-  deadline (deadline shedding -- rejecting work that would be dead on
-  arrival is what keeps goodput flat past saturation).
+per-bucket request queue.  Each request costs a modelled service time
+on the node's single "CPU", so requests queue.  The service then
+enforces *admission control*: a request is *shed* (an explicit
+rejection the client backs off on, never a silent drop) when the inbox
+is full (queue-depth shedding) or when the queue's deterministic
+completion estimate already overruns the request's deadline (deadline
+shedding -- rejecting work that would be dead on arrival is what keeps
+goodput flat past saturation).
 
 Same-key read **coalescing** rides the queue: while a ``read`` request
 for key K is waiting, later reads of K attach to it as riders and the
@@ -47,12 +40,7 @@ class ServiceError(ReproError):
 
 @dataclass(frozen=True, slots=True)
 class ServicePolicy:
-    """How a node admits, queues, and charges for requests.
-
-    The all-defaults policy is *inline*: no modelled cost, no bound, no
-    shedding -- requests execute at delivery time, preserving the
-    original ``ClusterNode`` semantics (and its byte-identical traces).
-    """
+    """How a node admits, queues, and charges for requests."""
 
     inbox_limit: int = 0          #: max queued requests (0 = unbounded)
     service_seconds: float = 0.0  #: modelled CPU cost per request (s)
@@ -62,11 +50,6 @@ class ServicePolicy:
             raise ValueError("inbox limit cannot be negative")
         if self.service_seconds < 0:
             raise ValueError("service cost cannot be negative")
-
-    @property
-    def inline(self) -> bool:
-        """True when requests execute synchronously at delivery."""
-        return self.service_seconds == 0.0 and self.inbox_limit == 0
 
     @classmethod
     def serving(cls, rate: float, inbox_limit: int = 64) -> "ServicePolicy":
@@ -137,12 +120,8 @@ class RequestService:
         return len(self._queue) + (1 if self._busy else 0)
 
     def offer(self, request: ServeRequest) -> bool:
-        """Admit (or execute, or shed) one request; True when admitted."""
+        """Admit (or coalesce, or shed) one request; True when admitted."""
         policy = self.policy
-        if policy.inline:
-            self.served += 1
-            self._execute(request)
-            return True
         now = self.loop.clock.now
         if request.read:
             head = self._reads.get(request.key)

@@ -19,9 +19,9 @@ with one contiguous buffer in which pages live as ``(offset, length)``
 * :class:`CopyLedger` -- the copies-per-byte accounting shim.  Hot
   paths report every payload-byte materialization (joins, slices,
   matrix fills, dtype widenings) to the process-wide :data:`LEDGER`;
-  ``python -m repro bench`` runs the journal->fold->seal pipeline under
-  a fresh ledger for both the legacy shapes and the arena path and
-  reports the measured ratio (schema v6's ``copies`` block).
+  ``python -m repro bench`` runs the sign->fold->seal pipeline under a
+  fresh ledger and reports its copies per payload byte (the
+  ``copies`` block).
 
 Alignment: with a GF(2^16) scheme every page must start and end on a
 2-byte symbol boundary; :meth:`PageArena.append` pads the arena cursor

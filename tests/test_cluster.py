@@ -194,6 +194,28 @@ class TestPartitions:
         assert cluster.faulty_network.injected["partition_drop"] > 0
 
 
+class TestAtLeastOnceReplay:
+    def test_duplicated_request_replays_the_cached_reply(self):
+        # Every client0 -> node1 frame is delivered twice: the second
+        # copy must be answered from the reply cache, not re-executed.
+        plan = FaultPlan(links={("client0", "node1"):
+                                LinkFaults(duplicate=1.0)})
+        with use_registry(MetricsRegistry()) as registry:
+            cluster = Cluster(servers=4, seed=1, plan=plan)
+            client = cluster.client()
+            key = 5
+            node = cluster.node_for(key)
+            assert node.name == "node1"
+            result = client.insert(key, b"delivered twice")
+            cluster.loop.run_until_idle()
+        assert result.status == "inserted"
+        assert result.attempts == 1
+        assert list(node.server.bucket.keys()) == [key]
+        assert cluster.parity.keys() == [key]
+        assert registry.total("cluster.rpc_replays", node="node1") == 1
+        assert registry.total("cluster.stale_replies") >= 1
+
+
 class TestRetryExhaustion:
     def test_total_loss_gives_up(self):
         plan = FaultPlan(default=LinkFaults(drop=1.0))

@@ -31,18 +31,6 @@ def make_service(policy, log):
 
 
 class TestRequestService:
-    def test_inline_policy_executes_synchronously(self):
-        log = []
-        _loop, service = make_service(ServicePolicy(), log)
-        request = ServeRequest(1, 10, b"v")
-        assert service.offer(request)
-        assert log == [("exec", request)]
-        assert service.served == 1
-
-    def test_default_policy_is_inline(self):
-        assert ServicePolicy().inline
-        assert not ServicePolicy.serving(1000.0).inline
-
     def test_queued_policy_charges_service_time(self):
         log = []
         loop, service = make_service(ServicePolicy.serving(100.0), log)
@@ -214,12 +202,6 @@ class TestServingPlane:
         with use_registry(MetricsRegistry()):
             with pytest.raises(ReproError):
                 small_plane(family="rp", buckets=2)
-
-    def test_inline_policy_rejected(self):
-        with use_registry(MetricsRegistry()):
-            with pytest.raises(ReproError):
-                ServingPlane(buckets=2, family="lh", seed=0,
-                             policy=ServicePolicy())
 
     def test_live_split_under_traffic_verifies_lh(self):
         with use_registry(MetricsRegistry()):
